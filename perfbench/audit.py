@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 #: Interferer rows per block: bounds the working set at ``BLOCK * |slot|``.
-BLOCK = 512
+#: Kept small so that the audit's temporaries stay well below the
+#: program's own footprint and never set the run's peak memory.
+BLOCK = 64
 
 
 def in_slot_affectance(space, senders, receivers, powers, noise, beta, slot):
