@@ -20,13 +20,18 @@ is below an interaction radius ``R``.  Two ingredients live here:
   ``1 / d^alpha`` over all dropped points — the geometric factor of the
   certified tail bound in :mod:`repro.core.affectance_sparse`.  (Kept
   points are also counted, clamped at ``R``; the bound only gets looser,
-  never unsound.)
+  never unsound.)  The denominator depends on a cell pair only through
+  its per-axis offsets, so it is looked up in a table built once per
+  distinct offset, with the same ``W`` bit for bit as a per-pair
+  evaluation.
 
 Indices that take part in one certificate must share ``origin`` and
 ``cell_size`` so their integer cell coordinates live on a common grid.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -386,18 +391,66 @@ class CellIndex:
 
         with ``d_min`` the minimum box-to-box Euclidean distance
         (per-axis gap ``max(|delta| - 1, 0) * h``).
+
+        The denominator depends on a cell pair only through its per-axis
+        offsets ``|c - c'|``, so it is evaluated once per distinct offset
+        into a table and gathered per pair.  Each row then divides and sums
+        the same operands in the same order as a direct per-pair
+        evaluation, so ``W`` is the same bit for bit.  Duplicate query
+        cells are summed once.  When the offset table would hold more
+        entries than one ``chunk``-row block of pairs (sparse points over a
+        wide extent), the denominators are evaluated per pair instead.
         """
         if not radius > 0:
             raise GeometryError(f"certificate radius must be positive, got {radius}")
         qc = np.asarray(query_cells, dtype=np.int64)
-        coords, counts = self._uniq_coords, self._sizes
-        out = np.empty(qc.shape[0], dtype=float)
-        weights = counts.astype(float)
-        for lo in range(0, qc.shape[0], chunk):
-            block = qc[lo : lo + chunk]
-            delta = np.abs(block[:, None, :] - coords[None, :, :])
-            gap = np.maximum(delta - 1, 0) * self.h
-            d_min = np.sqrt((gap.astype(float) ** 2).sum(axis=-1))
-            denom = np.maximum(d_min, radius) ** alpha
-            out[lo : lo + chunk] = (weights[None, :] / denom).sum(axis=1)
-        return out
+        if qc.ndim != 2 or qc.shape[1] != self.dim:
+            raise GeometryError(f"query cells must have shape (k, {self.dim})")
+        if qc.shape[0] == 0:
+            return np.empty(0, dtype=float)
+        cells, inverse = np.unique(qc, axis=0, return_inverse=True)
+        coords, weights = self._uniq_coords, self._sizes.astype(float)
+        # Table extent per axis: the largest offset between a query cell
+        # and an occupied cell, plus one.
+        span = np.maximum(
+            cells.max(axis=0) - coords.min(axis=0),
+            coords.max(axis=0) - cells.min(axis=0),
+        ) + 1
+        n_entries = math.prod(int(s) for s in span)
+        if n_entries <= min(chunk, cells.shape[0]) * coords.shape[0]:
+            grid = np.meshgrid(*(np.arange(s) for s in span), indexing="ij")
+            table = self._far_field_denominators(
+                np.stack(grid, axis=-1), radius, alpha
+            ).ravel()
+            strides = np.cumprod(np.append(span[1:], 1)[::-1])[::-1]
+            columns = [np.ascontiguousarray(coords[:, d]) for d in range(self.dim)]
+
+            def denominators(block: np.ndarray) -> np.ndarray:
+                key = np.abs(np.subtract.outer(block[:, -1], columns[-1]))
+                for d in range(self.dim - 1):
+                    off = np.subtract.outer(block[:, d], columns[d])
+                    np.abs(off, out=off)
+                    off *= strides[d]
+                    key += off
+                return table[key]
+        else:
+
+            def denominators(block: np.ndarray) -> np.ndarray:
+                delta = np.abs(block[:, None, :] - coords[None, :, :])
+                return self._far_field_denominators(delta, radius, alpha)
+
+        out = np.empty(cells.shape[0], dtype=float)
+        for lo in range(0, cells.shape[0], chunk):
+            denom = denominators(cells[lo : lo + chunk])
+            np.divide(weights[None, :], denom, out=denom)
+            out[lo : lo + chunk] = denom.sum(axis=1)
+        return out[inverse.reshape(-1)]
+
+    def _far_field_denominators(
+        self, delta: np.ndarray, radius: float, alpha: float
+    ) -> np.ndarray:
+        """``max(d_min, radius)^alpha`` for per-axis cell offsets ``delta``
+        (the last axis), the one expression both lookup paths evaluate."""
+        gap = np.maximum(delta - 1, 0) * self.h
+        d_min = np.sqrt((gap**2).sum(axis=-1))
+        return np.maximum(d_min, radius) ** alpha

@@ -360,3 +360,33 @@ def test_sharded_scale_m10k_under_budget():
     assert elapsed < SHARDED_M10K_BUDGET, (
         f"m=10^4 sharded churn repair took {elapsed:.2f}s"
     )
+
+
+#: Far-field certificate tier: the two ``CellIndex.far_field_sums`` calls
+#: of one m=10^4 ``planar_uniform`` sparse build at the pinned radius 12
+#: (receivers against the sender cells, senders against the receiver
+#: cells).  Observed on a busy-VM core: ~0.05 s for both through the
+#: offset table; the direct per-pair evaluation took ~1.2-1.5 s, so a
+#: regression to it fails the budget.
+FAR_FIELD_M10K_BUDGET = 0.5
+
+
+def test_far_field_certificate_m10k_under_budget():
+    from repro.geometry.cells import CellIndex
+
+    links = build_scenario("planar_uniform", n_links=10_000, seed=0)
+    geo = links.space.geometry
+    spts = np.ascontiguousarray(geo.points[links.senders])
+    rpts = np.ascontiguousarray(geo.points[links.receivers])
+    origin = np.concatenate([spts, rpts]).min(axis=0)
+    senders = CellIndex(spts, 12.0, origin=origin)
+    receivers = CellIndex(rpts, 12.0, origin=origin)
+    start = time.perf_counter()
+    ws = senders.far_field_sums(senders.cell_of(rpts), 12.0, geo.alpha)
+    wr = receivers.far_field_sums(receivers.cell_of(spts), 12.0, geo.alpha)
+    elapsed = time.perf_counter() - start
+    assert ws.shape == wr.shape == (10_000,)
+    assert (ws > 0).all() and (wr > 0).all()
+    assert elapsed < FAR_FIELD_M10K_BUDGET, (
+        f"m=10^4 far-field certificate took {elapsed:.2f}s"
+    )
