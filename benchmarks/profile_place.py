@@ -22,10 +22,15 @@ a list of up to thousands of ints into a fresh index array.  At m=10^4
 that one frame cost 3.1 s of a 5.5 s run (~60% of wall time, ~100x
 that at m=10^5 where the anchor is the whole story); the members now
 live in amortized-doubling numpy buffers, making each probe a pure
-array gather.  The repeated ``np.sort(np.fromiter(set))`` conversion in
-``_member_array`` (the per-probe allocation the incremental path pays)
-was caught by the same profile and is now cached per slot.  Re-run this
-script to verify both frames have left the ``tottime`` leaderboard.
+array gather.  That loop is now the package's only first-fit loop
+(``repro.algorithms.context._first_fit_slots``): static first fit on
+both backends and the shard merge's leftover pass run it too, so the
+buffer fix also covers the static sparse path, which used to rebuild
+each slot's member array with ``np.insert`` per admission.  The
+repeated ``np.sort(np.fromiter(set))`` conversion in ``_member_array``
+(the per-probe allocation the incremental path pays) was caught by the
+same profile and is now cached per slot.  Re-run this script to verify
+both frames have left the ``tottime`` leaderboard.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.core.affectance_sparse import (
     SparseAffectance,
     SparseLinkDistances,
     _SparseView,
+    add_row_to,
     build_sparse_affectance,
     build_sparse_link_distances,
 )
@@ -76,36 +77,31 @@ _LEDGER_GUARD_PER_LINK = 1e-9
 class _AffectanceLedger:
     """Per-link in/out affectance sums over a maintained member set.
 
-    The delta structure shared by the scheduling kernels:
+    The delta structure of repeated capacity:
     ``in_sum[v] = a_M(v)`` (column sums: what members do to ``v``) and
     ``out_sum[v] = a_v(M)`` (row sums: what ``v`` does to members) over the
     member set ``M``, for *every* link ``v``.  Members join one at a time
-    (``add`` — first-fit slots grow this way, exactly mirroring the
-    historical per-slot accumulation) or leave a peeled slot at a time
-    (``remove_slot`` — repeated capacity shrinks the remaining set this
-    way, one vectorized subtraction per round instead of re-slicing the
-    full matrix).  All state is local to the algorithm invocation; the
-    context's caches are never touched.
+    (``add`` — a link-subset view is seeded this way) or leave a peeled
+    slot at a time (``remove_slot`` — one vectorized subtraction per round
+    instead of re-slicing the full matrix).  All state is local to the
+    algorithm invocation; the context's caches are never touched.
     """
 
     __slots__ = ("a", "dense", "mask", "in_sum", "out_sum", "count")
 
-    def __init__(self, a, *, full: bool, track_out: bool = True) -> None:
+    def __init__(self, a, *, full: bool) -> None:
         m = a.shape[0]
         self.a = a
         self.dense = isinstance(a, np.ndarray)
         if full:
             self.mask = np.ones(m, dtype=bool)
             self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
-            if track_out:
-                self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
-            else:
-                self.out_sum = None
+            self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
             self.count = m
         else:
             self.mask = np.zeros(m, dtype=bool)
             self.in_sum = np.zeros(m)
-            self.out_sum = np.zeros(m) if track_out else None
+            self.out_sum = np.zeros(m)
             self.count = 0
 
     def add(self, v: int) -> None:
@@ -113,15 +109,13 @@ class _AffectanceLedger:
         self.mask[v] = True
         if self.dense:
             self.in_sum += self.a[v]
-            if self.out_sum is not None:
-                self.out_sum += self.a[:, v]
+            self.out_sum += self.a[:, v]
         else:
             # Scatter over the stored pattern: unstored entries add an
             # exact 0.0, so the sums match the dense accumulation float
             # for float whenever the pattern holds the pairs.
             self.a.add_row_to(self.in_sum, v)
-            if self.out_sum is not None:
-                self.a.add_col_to(self.out_sum, v)
+            self.a.add_col_to(self.out_sum, v)
         self.count += 1
 
     def remove_slot(self, members: Sequence[int]) -> None:
@@ -130,12 +124,10 @@ class _AffectanceLedger:
         self.mask[idx] = False
         if self.dense:
             self.in_sum -= self.a[idx].sum(axis=0)
-            if self.out_sum is not None:
-                self.out_sum -= self.a[:, idx].sum(axis=1)
+            self.out_sum -= self.a[:, idx].sum(axis=1)
         else:
             self.in_sum -= self.a.rows_sum(idx)
-            if self.out_sum is not None:
-                self.out_sum -= self.a.cols_sum(idx)
+            self.out_sum -= self.a.cols_sum(idx)
         self.count -= idx.size
 
 
@@ -174,6 +166,82 @@ def slot_admission_sums(
     else:
         block = a.block(idx, idx)
     return block.sum(axis=0) + block.sum(axis=1)
+
+
+def _first_fit_slots(
+    a,
+    order: Iterable[int],
+    *,
+    seeds: Sequence[np.ndarray] = (),
+    admits: Callable[[int, np.ndarray], bool] | None = None,
+) -> list[np.ndarray]:
+    """First fit over ``order``: the one slot-placement loop of the package.
+
+    Each link joins the earliest slot where it and every member keep
+    in-affectance at most 1 under the raw affectance ``a`` (dense array
+    or sparse view), and ``admits(v, members)`` — an extra admission
+    rule, checked last — holds; otherwise it opens a new slot.  Static
+    first fit, the repair anchor and the shard merge's leftover pass all
+    run here, so they compare the same floats by construction.
+
+    ``seeds`` are pre-certified slots probed before any opened one.  A
+    seed's ledger is built on its first probe by sequential row adds in
+    member order; an opened slot's ledger starts as the opener's row.
+
+    Slot members live in amortized-doubling numpy buffers, so each
+    probe's ledger gather ``in_aff[members] + av[members]`` is a pure
+    array fancy-index (``benchmarks/profile_place.py`` found the list
+    re-conversion it replaced at ~60% of a serial m=10^4 run).  A sparse
+    row is materialized into one reused scratch vector (zero the previous
+    row's support, scatter the new one) instead of a fresh O(m) dense
+    row per link; untouched entries are the same +0.0, so every
+    comparison and ledger update equals the dense-row one bit for bit.
+
+    Returns each slot's members in admission order.
+    """
+    dense = isinstance(a, np.ndarray)
+    bufs = [np.array(s, dtype=np.int64) for s in seeds]
+    sizes = [b.size for b in bufs]
+    sums: list[np.ndarray | None] = [None] * len(bufs)
+    scratch = None if dense else np.zeros(a.shape[0])
+    prev_idx: np.ndarray | None = None
+    for v in order:
+        v = int(v)
+        if dense:
+            av = a[v]
+        else:
+            if prev_idx is not None:
+                scratch[prev_idx] = 0.0
+            prev_idx, rval = a.row(v)
+            scratch[prev_idx] = rval
+            av = scratch
+        for t in range(len(bufs)):
+            in_aff = sums[t]
+            if in_aff is None:
+                in_aff = sums[t] = np.zeros(a.shape[0])
+                for u in bufs[t][: sizes[t]]:
+                    add_row_to(in_aff, a, int(u))
+            if in_aff[v] > 1.0:
+                continue
+            mem = bufs[t][: sizes[t]]
+            if np.all(in_aff[mem] + av[mem] <= 1.0) and (
+                admits is None or admits(v, mem)
+            ):
+                if sizes[t] == bufs[t].size:
+                    grown = np.empty(max(4, 2 * sizes[t]), dtype=np.int64)
+                    grown[: sizes[t]] = mem
+                    bufs[t] = grown
+                bufs[t][sizes[t]] = v
+                sizes[t] += 1
+                in_aff += av
+                break
+        else:
+            buf = np.empty(4, dtype=np.int64)
+            buf[0] = v
+            bufs.append(buf)
+            sizes.append(1)
+            sums.append(av.copy())
+    return [bufs[t][: sizes[t]] for t in range(len(bufs))]
 
 
 @dataclass(frozen=True)
@@ -232,6 +300,44 @@ def check_context(
             f"but this call requires {backend!r}"
         )
     return context
+
+
+def _checked_backend(
+    backend: str, space: DecaySpace, eps: float, radius: float | None
+) -> tuple[float, float | None]:
+    """Validate a context's backend arguments; return ``(eps, radius)``.
+
+    Shared by both context constructors so a bad argument fails before
+    anything is built.  ``not (x > 0)`` rejects NaN as well as
+    non-positive values: a NaN ``eps`` would silently search up to the
+    complete pattern, and a NaN or non-positive ``radius`` only fails at
+    the first pattern build.  ``eps`` and ``radius`` are ignored on the
+    dense backend.
+    """
+    if backend not in ("dense", "sparse"):
+        raise LinkError(
+            f"unknown affectance backend {backend!r}; "
+            "expected 'dense' or 'sparse'"
+        )
+    eps = float(eps)
+    radius = None if radius is None else float(radius)
+    if backend == "sparse":
+        if space.geometry is None:
+            raise LinkError(
+                "backend='sparse' needs node positions: the decay "
+                "space carries no SpaceGeometry (build it with "
+                "DecaySpace.from_points / PointDecaySpace, or attach "
+                "a measured geometry via SpaceGeometry.measured)"
+            )
+        if not eps > 0:
+            raise LinkError(
+                f"sparse tail tolerance eps must be positive, got {eps}"
+            )
+        if radius is not None and not radius > 0:
+            raise LinkError(
+                f"interaction radius must be positive, got {radius}"
+            )
+    return eps, radius
 
 
 def _validated_order(order: Sequence[int], m: int) -> list[int]:
@@ -310,30 +416,10 @@ class SchedulingContext:
         self._zeta_arg = zeta
         # Backend invariants are validated once, here: every downstream
         # kernel may then assume a well-formed backend configuration.
-        if backend not in ("dense", "sparse"):
-            raise LinkError(
-                f"unknown affectance backend {backend!r}; "
-                "expected 'dense' or 'sparse'"
-            )
         self._backend = backend
-        self._eps = float(eps)
-        self._radius = None if radius is None else float(radius)
-        if backend == "sparse":
-            if links.space.geometry is None:
-                raise LinkError(
-                    "backend='sparse' needs node positions: the decay "
-                    "space carries no SpaceGeometry (build it with "
-                    "DecaySpace.from_points / PointDecaySpace, or attach "
-                    "a measured geometry via SpaceGeometry.measured)"
-                )
-            if self._eps <= 0:
-                raise LinkError(
-                    f"sparse tail tolerance eps must be positive, got {eps}"
-                )
-            if self._radius is not None and self._radius <= 0:
-                raise LinkError(
-                    f"interaction radius must be positive, got {radius}"
-                )
+        self._eps, self._radius = _checked_backend(
+            backend, links.space, eps, radius
+        )
         self._cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -626,12 +712,11 @@ class SchedulingContext:
 
         Links are processed shortest-first (or in the given ``order``,
         which must be a permutation of all link indices) and placed in the
-        earliest slot that stays feasible with them added; the per-slot
-        membership check is a single vectorized comparison.  Each slot's
-        running in-affectances live in an :class:`_AffectanceLedger` — the
-        same delta structure repeated capacity peels slots with — grown by
-        the identical per-admission accumulation as the historical loop, so
-        the slots are byte-identical to it.
+        earliest slot that stays feasible with them added, by the one
+        first-fit loop (:func:`_first_fit_slots`) the repair anchor and
+        the shard merge also run.  Unstored sparse pairs contribute an
+        exact 0.0, so on a complete pattern both backends give the same
+        slots.
 
         ``active`` restricts scheduling to a link-subset view: only the
         given links are placed, in the global precedence order restricted
@@ -643,78 +728,13 @@ class SchedulingContext:
         is refused rather than half-honoured).
         """
         if order is None:
-            sequence = [int(v) for v in self._active_order(active)]
+            sequence = self._active_order(active)
         elif active is not None:
             raise LinkError("pass either an explicit order or active, not both")
         else:
             sequence = _validated_order(order, self.m)
-        if self._backend == "sparse":
-            return self._first_fit_sparse(sequence)
-        a = self.raw_affectance
-        slots: list[list[int]] = []
-        ledgers: list[_AffectanceLedger] = []  # per-slot a_slot(v), all v
-        for v in sequence:
-            av = a[v]
-            placed = False
-            for t, slot in enumerate(slots):
-                in_aff = ledgers[t].in_sum
-                if in_aff[v] > 1.0:
-                    continue
-                if np.all(in_aff[slot] + av[slot] <= 1.0):
-                    slot.append(v)
-                    ledgers[t].add(v)
-                    placed = True
-                    break
-            if not placed:
-                slots.append([v])
-                ledger = _AffectanceLedger(a, full=False, track_out=False)
-                ledger.add(v)
-                ledgers.append(ledger)
-        return tuple(tuple(sorted(s)) for s in slots)
-
-    def _first_fit_sparse(
-        self, sequence: list[int]
-    ) -> tuple[tuple[int, ...], ...]:
-        """First-fit over the CSR rows: probe only slot-support overlaps.
-
-        The member-side check exploits the slot invariant — every
-        member's in-affectance within its slot is at most 1 at all times
-        — so members outside the candidate's row support (who would gain
-        an exact 0.0) pass unconditionally, and only the overlap of the
-        slot with the row's support is compared.  On a complete pattern
-        the compared floats are the dense path's, so the slots are
-        byte-identical to it.
-        """
-        a = self.raw_affectance
-        slots: list[list[int]] = []
-        members: list[np.ndarray] = []  # sorted member arrays per slot
-        sums: list[np.ndarray] = []  # per-slot a_slot(v) ledgers
-        for v in sequence:
-            idx, val = a.row(v)
-            placed = False
-            for t in range(len(slots)):
-                in_aff = sums[t]
-                if in_aff[v] > 1.0:
-                    continue
-                mem = members[t]
-                if idx.size:
-                    pos = np.searchsorted(idx, mem)
-                    pos_c = np.minimum(pos, idx.size - 1)
-                    hit = idx[pos_c] == mem
-                    if np.any(in_aff[mem[hit]] + val[pos_c[hit]] > 1.0):
-                        continue
-                slots[t].append(v)
-                members[t] = np.insert(mem, np.searchsorted(mem, v), v)
-                in_aff[idx] += val
-                placed = True
-                break
-            if not placed:
-                slots.append([v])
-                members.append(np.array([v], dtype=int))
-                fresh = np.zeros(self.m)
-                fresh[idx] = val
-                sums.append(fresh)
-        return tuple(tuple(sorted(s)) for s in slots)
+        slots = _first_fit_slots(self.raw_affectance, sequence)
+        return tuple(tuple(sorted(s.tolist())) for s in slots)
 
     def repeated_capacity(
         self,
@@ -1006,24 +1026,8 @@ class DynamicContext:
     ) -> None:
         if zeta is not None and zeta <= 0:
             raise LinkError(f"zeta must be positive, got {zeta}")
-        if backend not in ("dense", "sparse"):
-            raise LinkError(
-                f"unknown affectance backend {backend!r}; "
-                "expected 'dense' or 'sparse'"
-            )
         self._backend = backend
-        self._eps = float(eps)
-        self._radius = None if radius is None else float(radius)
-        if backend == "sparse":
-            if space.geometry is None:
-                raise LinkError(
-                    "backend='sparse' needs node positions: the decay "
-                    "space carries no SpaceGeometry"
-                )
-            if self._eps <= 0:
-                raise LinkError(
-                    f"sparse tail tolerance eps must be positive, got {eps}"
-                )
+        self._eps, self._radius = _checked_backend(backend, space, eps, radius)
         self._space = space
         self._noise = float(noise)
         self._beta = float(beta)

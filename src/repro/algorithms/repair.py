@@ -72,6 +72,7 @@ import numpy as np
 from repro.algorithms.context import (
     DynamicContext,
     Schedule,
+    _first_fit_slots,
     combined_affectance_within,
     slot_admission_sums,
 )
@@ -949,74 +950,16 @@ class OnlineRepairScheduler:
         """From-scratch first-fit over the active links, shortest first.
 
         Runs entirely off the maintained padded matrices (no affectance
-        build); identical admission rule and order (length, then slot
-        index) as :meth:`SchedulingContext.first_fit`, so on a quiescent
-        context the result matches the static scheduler slot for slot.
-        When a universe restriction is installed (per-shard repair, see
-        :meth:`set_universe`) only universe links are scheduled.
-
-        Slot members live in amortized-doubling numpy buffers: the
-        probe's ledger gather ``in_aff[members] + av[members]`` is then
-        a pure array fancy-index.  With Python lists instead (the
-        original implementation), every probe re-converted a list of up
-        to thousands of ints into a fresh index array — the single worst
-        Python overhead ``benchmarks/profile_place.py`` finds in the
-        serial m=10^4 baseline (~60% of wall time).  The compared floats
-        are untouched, so the slots stay byte-identical.
+        build) through the same loop and order (length, then slot index)
+        as :meth:`SchedulingContext.first_fit`, so on a quiescent context
+        the result matches the static scheduler slot for slot.  When a
+        universe restriction is installed (per-shard repair, the
+        ``universe=`` argument) only universe links are scheduled.
         """
         dyn = self.dyn
         act = self._universe_filter(dyn.active_slots)
-        a = dyn.raw_affectance
         order = act[np.lexsort((act, dyn.lengths[act]))]
-        bufs: list[np.ndarray] = []
-        sizes: list[int] = []
-        sums: list[np.ndarray] = []
-        # The probed row of ``v`` is materialized into one reused scratch
-        # vector (zero the previous row's support, scatter the new one):
-        # a fresh ``dense_row`` per link costs an O(capacity) allocation,
-        # which dominates the loop at large m.  The scratch holds exactly
-        # the dense row's floats (untouched entries are the same +0.0),
-        # so every comparison and ledger update below is byte-identical;
-        # it is only copied out when ``v`` opens a new slot and the row
-        # becomes that slot's ledger.
-        dense_a = isinstance(a, np.ndarray)
-        scratch: np.ndarray | None = None
-        prev_idx: np.ndarray | None = None
-        for v in order:
-            v = int(v)
-            if dense_a:
-                av = a[v]
-            else:
-                if scratch is None:
-                    scratch = np.zeros(a.n)
-                elif prev_idx is not None and prev_idx.size:
-                    scratch[prev_idx] = 0.0
-                prev_idx, rval = a.row(v)
-                scratch[prev_idx] = rval
-                av = scratch
-            for t in range(len(bufs)):
-                in_aff = sums[t]
-                if in_aff[v] > 1.0:
-                    continue
-                mem = bufs[t][: sizes[t]]
-                if np.all(in_aff[mem] + av[mem] <= 1.0):
-                    if sizes[t] == bufs[t].size:
-                        grown = np.empty(2 * bufs[t].size, dtype=np.int64)
-                        grown[: sizes[t]] = bufs[t]
-                        bufs[t] = grown
-                    bufs[t][sizes[t]] = v
-                    sizes[t] += 1
-                    in_aff += av
-                    break
-            else:
-                buf = np.empty(4, dtype=np.int64)
-                buf[0] = v
-                bufs.append(buf)
-                sizes.append(1)
-                sums.append(av.copy())
-        return [
-            [int(u) for u in bufs[t][: sizes[t]]] for t in range(len(bufs))
-        ]
+        return [s.tolist() for s in _first_fit_slots(dyn.raw_affectance, order)]
 
     def _install(self, slots: list[list[int]]) -> None:
         self._members = [set(s) for s in slots]

@@ -69,6 +69,7 @@ import numpy as np
 from repro.algorithms.context import (
     Schedule,
     SchedulingContext,
+    _first_fit_slots,
     combined_affectance_within,
     slot_admission_sums,
 )
@@ -81,7 +82,6 @@ from repro.core.affectance import in_affectances_within
 from repro.core.affectance_sparse import (
     SparseAffectance,
     SparseLinkDistances,
-    add_row_to,
     gather_col,
     gather_row,
 )
@@ -279,7 +279,6 @@ def _merged_by_index(
 
 def _certify_merge(
     a,
-    size: int,
     lengths: np.ndarray,
     merged: list[list[int]],
     *,
@@ -297,63 +296,22 @@ def _certify_merge(
     fails, evicting its lowest-precedence violator can only lower the
     remaining members' loads, so repeating check-and-evict converges to
     a certified sub-slot without ever re-admitting member by member.
-    Evicted links are re-placed first-fit over the certified slots (same
-    admission rule), opening fresh slots only when every one rejects
-    them, so the output is a partition of exactly the input links into
-    certified slots.
+    Evicted links are re-placed by the package's first-fit loop
+    (:func:`~repro.algorithms.context._first_fit_slots`) with the
+    certified slots as seeds and the threshold as its extra admission
+    rule, opening fresh slots only when every one rejects them, so the
+    output is a partition of exactly the input links into certified
+    slots.
 
     Returns the certified slots (members sorted) and how many links the
     certification displaced from their shard-assigned slot.
     """
-    bufs: list[np.ndarray] = []
-    sizes: list[int] = []
-    # Per-slot running in-affectance over the full universe; built
-    # lazily (``None``) for fast-path slots, which only need it if the
-    # leftover pass later probes them.
-    sums: list[np.ndarray | None] = []
-
-    def _ensure_sums(t: int) -> np.ndarray:
-        if sums[t] is None:
-            fresh = np.zeros(size)
-            for u in bufs[t][: sizes[t]]:
-                add_row_to(fresh, a, int(u))
-            sums[t] = fresh
-        return sums[t]
-
-    def _fits(t: int, v: int) -> bool:
-        in_aff = _ensure_sums(t)
-        if in_aff[v] > 1.0:
-            return False
-        mem = bufs[t][: sizes[t]]
-        if np.any(in_aff[mem] + gather_row(a, v, mem) > 1.0):
-            return False
-        if threshold is not None:
-            if combined_affectance_within(clip, mem, v) > threshold:
-                return False
-        return True
-
-    def _admit(t: int, v: int) -> None:
-        if sizes[t] == bufs[t].size:
-            grown = np.empty(2 * bufs[t].size, dtype=np.int64)
-            grown[: sizes[t]] = bufs[t][: sizes[t]]
-            bufs[t] = grown
-        bufs[t][sizes[t]] = v
-        sizes[t] += 1
-        add_row_to(sums[t], a, v)
-
-    def _open(v: int) -> None:
-        buf = np.empty(4, dtype=np.int64)
-        buf[0] = v
-        bufs.append(buf)
-        sizes.append(1)
-        fresh = np.zeros(size)
-        add_row_to(fresh, a, v)
-        sums.append(fresh)
 
     def _precedence(members: Sequence[int]) -> np.ndarray:
         arr = np.asarray(members, dtype=int)
         return arr[np.lexsort((arr, lengths[arr]))]
 
+    certified: list[np.ndarray] = []
     leftovers: list[int] = []
     for slot in merged:
         kept = _precedence(slot)
@@ -390,23 +348,18 @@ def _certify_merge(
                     adm -= gather_col(clip, kept, u)
                     bad |= adm > threshold
         if kept.size:
-            bufs.append(kept.astype(np.int64))
-            sizes.append(kept.size)
-            sums.append(None)
-    displaced = len(leftovers)
-    if leftovers:
-        for v in _precedence(leftovers):
-            v = int(v)
-            for t in range(len(bufs)):
-                if _fits(t, v):
-                    _admit(t, v)
-                    break
-            else:
-                _open(v)
-    return (
-        [sorted(int(u) for u in bufs[t][: sizes[t]]) for t in range(len(bufs))],
-        displaced,
+            certified.append(kept)
+
+    def _within_threshold(v: int, mem: np.ndarray) -> bool:
+        return combined_affectance_within(clip, mem, v) <= threshold
+
+    slots = _first_fit_slots(
+        a,
+        _precedence(leftovers),
+        seeds=certified,
+        admits=None if threshold is None else _within_threshold,
     )
+    return [sorted(s.tolist()) for s in slots], len(leftovers)
 
 
 def _resolve_workers(n_shards: int, max_workers: int | None) -> int:
@@ -569,7 +522,6 @@ class ShardedContext:
         sp = self.context.sparse_affectance
         slots, displaced = _certify_merge(
             sp.raw,
-            self.context.m,
             self.context.links.lengths,
             merged,
             clip=sp.clip if threshold is not None else None,
@@ -1045,7 +997,6 @@ class ShardedRepairScheduler:
         else:
             slots, displaced = _certify_merge(
                 self.dyn.raw_affectance,
-                self.dyn.capacity,
                 self.dyn.lengths,
                 merged,
                 clip=(

@@ -122,6 +122,25 @@ class TestRepairMechanics:
         rs = OnlineRepairScheduler(dyn)
         assert rs.schedule.slots == SchedulingContext(links).first_fit()
 
+    @pytest.mark.parametrize(
+        "scenario,n_links,radius",
+        [("clustered", 60, 2.0), ("planar_uniform", 200, 4.0)],
+    )
+    def test_sparse_anchor_equals_static_first_fit(
+        self, scenario, n_links, radius
+    ):
+        """Same on an incomplete sparse pattern at a pinned radius."""
+        links = build_scenario(scenario, n_links=n_links, seed=7)
+        pairs = [(l.sender, l.receiver) for l in links]
+        dyn = DynamicContext(
+            links.space, pairs, backend="sparse", radius=radius
+        )
+        static = SchedulingContext(links, backend="sparse", radius=radius)
+        assert not static.sparse_affectance.complete
+        slots = static.first_fit()
+        assert len(slots) > 1
+        assert OnlineRepairScheduler(dyn).schedule.slots == slots
+
     def test_departure_is_pure_bookkeeping(self):
         """Departures never open or reshuffle slots — members only leave."""
         dyn, _ = self._dyn(scenario="clustered")

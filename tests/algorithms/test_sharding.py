@@ -17,7 +17,10 @@ Three oracles pin the shard-by-cell stack
   contract and the dense gap is bounded by the stored tails.);
 * **brute-force halos** — the layout's halo sets are recomputed from raw
   pairwise endpoint distances against the certified interaction radius,
-  with no cell index involved.
+  with no cell index involved;
+* **reference merge** — every multi-shard merge, static and dynamic,
+  equals :func:`reference_certify_merge`, the merge as it stood with its
+  own hand-written first-fit loop for the displaced links.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.context import SchedulingContext
+from repro.algorithms import sharding
+from repro.algorithms.context import (
+    SchedulingContext,
+    combined_affectance_within,
+    slot_admission_sums,
+)
 from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
@@ -38,6 +46,7 @@ from repro.algorithms.sharding import (
     build_shard_layout,
 )
 from repro.core.affectance import in_affectances_within
+from repro.core.affectance_sparse import add_row_to, gather_col, gather_row
 from repro.distributed.stability import run_queue_simulation
 from repro.dynamics import ChurnDriver
 from repro.errors import LinkError, SimulationError
@@ -57,6 +66,133 @@ def _sparse_ctx(scenario="planar_uniform", n_links=24, seed=4, eps=1e-3):
     pattern at this size, making sparse sums the dense floats."""
     links = build_scenario(scenario, n_links=n_links, seed=seed)
     return SchedulingContext(links, backend="sparse", eps=eps)
+
+
+def reference_certify_merge(
+    a, size, lengths, merged, *, clip=None, threshold=None
+):
+    """The merge certification with its own leftover first-fit loop.
+
+    Check-and-evict each merged slot in precedence order, then re-place
+    the displaced links first-fit over the certified slots (whose ledgers
+    are built on first probe by sequential row adds in member order)
+    under the exact feasibility rule plus, when ``threshold`` is given,
+    the Algorithm-1 clipped in+out bound.  Returns the sorted slots and
+    the displaced count.
+    """
+    bufs = []
+    sizes = []
+    sums = []
+
+    def _ensure_sums(t):
+        if sums[t] is None:
+            fresh = np.zeros(size)
+            for u in bufs[t][: sizes[t]]:
+                add_row_to(fresh, a, int(u))
+            sums[t] = fresh
+        return sums[t]
+
+    def _fits(t, v):
+        in_aff = _ensure_sums(t)
+        if in_aff[v] > 1.0:
+            return False
+        mem = bufs[t][: sizes[t]]
+        if np.any(in_aff[mem] + gather_row(a, v, mem) > 1.0):
+            return False
+        if threshold is not None:
+            if combined_affectance_within(clip, mem, v) > threshold:
+                return False
+        return True
+
+    def _admit(t, v):
+        if sizes[t] == bufs[t].size:
+            grown = np.empty(2 * bufs[t].size, dtype=np.int64)
+            grown[: sizes[t]] = bufs[t][: sizes[t]]
+            bufs[t] = grown
+        bufs[t][sizes[t]] = v
+        sizes[t] += 1
+        add_row_to(sums[t], a, v)
+
+    def _open(v):
+        buf = np.empty(4, dtype=np.int64)
+        buf[0] = v
+        bufs.append(buf)
+        sizes.append(1)
+        fresh = np.zeros(size)
+        add_row_to(fresh, a, v)
+        sums.append(fresh)
+
+    def _precedence(members):
+        arr = np.asarray(members, dtype=int)
+        return arr[np.lexsort((arr, lengths[arr]))]
+
+    leftovers = []
+    for slot in merged:
+        kept = _precedence(slot)
+        while kept.size:
+            in_aff = in_affectances_within(a, kept)
+            adm = (
+                slot_admission_sums(clip, kept)
+                if threshold is not None
+                else None
+            )
+            bad = in_aff > 1.0
+            if threshold is not None:
+                bad |= adm > threshold
+            if not bad.any():
+                break
+            while bad.any() and kept.size:
+                drop = int(np.flatnonzero(bad)[-1])
+                u = int(kept[drop])
+                leftovers.append(u)
+                kept = np.delete(kept, drop)
+                in_aff = np.delete(in_aff, drop)
+                in_aff -= gather_row(a, u, kept)
+                bad = in_aff > 1.0
+                if threshold is not None:
+                    adm = np.delete(adm, drop)
+                    adm -= gather_row(clip, u, kept)
+                    adm -= gather_col(clip, kept, u)
+                    bad |= adm > threshold
+        if kept.size:
+            bufs.append(kept.astype(np.int64))
+            sizes.append(kept.size)
+            sums.append(None)
+    displaced = len(leftovers)
+    if leftovers:
+        for v in _precedence(leftovers):
+            v = int(v)
+            for t in range(len(bufs)):
+                if _fits(t, v):
+                    _admit(t, v)
+                    break
+            else:
+                _open(v)
+    return (
+        [sorted(int(u) for u in bufs[t][: sizes[t]]) for t in range(len(bufs))],
+        displaced,
+    )
+
+
+def _spy_merge(monkeypatch):
+    """Wrap the module's merge: record (result, reference) per call.
+
+    The reference runs inside the call, on the same inputs, because the
+    dynamic side passes a live view of a context that churn mutates.
+    """
+    pairs = []
+    real = sharding._certify_merge
+
+    def spy(a, lengths, merged, **kw):
+        want = reference_certify_merge(
+            a, a.shape[0], lengths, [list(s) for s in merged], **kw
+        )
+        got = real(a, lengths, merged, **kw)
+        pairs.append((got, want))
+        return got
+
+    monkeypatch.setattr(sharding, "_certify_merge", spy)
+    return pairs
 
 
 def _assert_partition_of(slots, m):
@@ -225,6 +361,40 @@ class TestShardedStatic:
                 in_affectances_within(sp.raw, list(slot)) <= 1.0
             )
 
+    @pytest.mark.parametrize("scenario,k,n,eps", MULTI_SHARD)
+    def test_merge_matches_reference(self, monkeypatch, scenario, k, n, eps):
+        ctx = _sparse_ctx(scenario, n_links=n, eps=eps)
+        sharded = ShardedContext(ctx, shards=k)
+        assert sharded.n_shards >= 2
+        pairs = _spy_merge(monkeypatch)
+        ff = sharded.first_fit()
+        rc = sharded.repeated_capacity()
+        assert len(pairs) == 2
+        for (got, want), slots in zip(pairs, (ff, rc)):
+            assert got == want
+            assert slots == tuple(tuple(s) for s in want[0])
+
+    def test_merge_leftover_pass_and_threshold_run(self, monkeypatch):
+        """The reference comparison above is not vacuous: links are
+        displaced in both modes and the threshold rule is evaluated."""
+        calls = []
+
+        def counting(clip, members, v):
+            calls.append(v)
+            return combined_affectance_within(clip, members, v)
+
+        monkeypatch.setattr(
+            sharding, "combined_affectance_within", counting
+        )
+        ctx = _sparse_ctx("clustered", n_links=64, eps=0.5)
+        sharded = ShardedContext(ctx, shards=4)
+        sharded.first_fit()
+        assert sharded.last_displaced > 0
+        assert not calls
+        sharded.repeated_capacity()
+        assert sharded.last_displaced > 0
+        assert calls
+
     def test_sequential_matches_threaded(self):
         """max_workers=1 (serial loop) and the thread pool agree."""
         ctx = _sparse_ctx(n_links=32)
@@ -320,6 +490,29 @@ class TestShardedDynamic:
                 int(v) for s in rep.active_schedule for v in s
             } | set(rep.deferred)
             assert covered == set(map(int, sdyn.active_slots))
+
+    @pytest.mark.parametrize("kind", ("first_fit", "capacity"))
+    def test_dynamic_merge_matches_reference(self, monkeypatch, kind):
+        """Every merge a k-shard churn replay materializes equals the
+        reference, and some of them displace links."""
+        pairs = _spy_merge(monkeypatch)
+        for seed in range(4):
+            scn = self._trace(seed, "clustered", n_links=48)
+            ctx = SchedulingContext(
+                scn.initial_links(), backend="sparse", eps=0.5
+            )
+            sharded = ShardedContext(ctx, shards=2)
+            assert sharded.n_shards >= 2
+            sdyn = sharded.dynamic()
+            driver = ChurnDriver(sdyn, scn)
+            rep = ShardedRepairScheduler(sdyn, kind=kind)
+            for ev in scn.events:
+                rep.apply(*driver.step(ev.slot))
+                rep.active_schedule  # materializes (merges) the schedule
+        assert pairs
+        for got, want in pairs:
+            assert got == want
+        assert any(displaced for (_, displaced), _ in pairs)
 
     def test_slot_reuse_migrates_universe_across_shards(self):
         """A context slot freed by one shard and reused by an arrival

@@ -16,7 +16,9 @@ Property tests sweep the registry scenarios (geometric, shadowed-urban,
 and measured asymmetric spaces) plus random planar instances; unit tests
 pin the tail certificate against brute-force dropped mass and the
 backend-invariant validation added to ``check_context`` /
-``SchedulingContext.__init__``.
+``SchedulingContext.__init__``.  On incomplete patterns at pinned radii,
+sparse first fit is pinned to :func:`reference_first_fit_sparse`, the
+sparse loop the package ran before all first-fit callers shared one loop.
 """
 
 from __future__ import annotations
@@ -51,6 +53,49 @@ TINY_EPS = 1e-300
 #: sweeps (includes an asymmetric space: the per-orientation distance
 #: storage is exactly what it exercises).
 CHURN_SCENARIOS = ("planar_uniform", "dense_urban", "asymmetric_measured")
+
+
+def reference_first_fit_sparse(
+    a, m: int, sequence: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Sparse first fit probing only slot-support overlaps (reference).
+
+    The member-side check exploits the slot invariant — every member's
+    in-affectance within its slot is at most 1 at all times — so members
+    outside the candidate's row support (who would gain an exact 0.0)
+    pass unconditionally, and only the overlap of the slot with the
+    row's support is compared.  Each slot keeps a sorted member array
+    (rebuilt by ``np.insert`` per admission) and its own ledger.
+    """
+    slots: list[list[int]] = []
+    members: list[np.ndarray] = []  # sorted member arrays per slot
+    sums: list[np.ndarray] = []  # per-slot a_slot(v) ledgers
+    for v in sequence:
+        idx, val = a.row(v)
+        placed = False
+        for t in range(len(slots)):
+            in_aff = sums[t]
+            if in_aff[v] > 1.0:
+                continue
+            mem = members[t]
+            if idx.size:
+                pos = np.searchsorted(idx, mem)
+                pos_c = np.minimum(pos, idx.size - 1)
+                hit = idx[pos_c] == mem
+                if np.any(in_aff[mem[hit]] + val[pos_c[hit]] > 1.0):
+                    continue
+            slots[t].append(v)
+            members[t] = np.insert(mem, np.searchsorted(mem, v), v)
+            in_aff[idx] += val
+            placed = True
+            break
+        if not placed:
+            slots.append([v])
+            members.append(np.array([v], dtype=int))
+            fresh = np.zeros(m)
+            fresh[idx] = val
+            sums.append(fresh)
+    return tuple(tuple(sorted(s)) for s in slots)
 
 
 def _dense_and_sparse(
@@ -121,6 +166,36 @@ class TestModerateEps:
             # The dense in-sum exceeds the sparse one by at most the
             # certified dropped tail, and the sparse sum passed <= 1.
             assert np.all(block.sum(axis=0) <= 1.0 + sa.tail_in[idx])
+
+
+class TestFirstFitReference:
+    """Incomplete patterns at pinned radii: sparse first fit equals the
+    support-overlap reference loop, for every processing order."""
+
+    @given(
+        n=st.integers(20, 60),
+        radius=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=CHURN_EXAMPLES)
+    def test_first_fit_matches_reference(self, n, radius, seed):
+        links = make_planar_links(n, alpha=3.0, seed=seed)
+        ctx = SchedulingContext(
+            links, noise=0.0, beta=1.0, backend="sparse", radius=radius
+        )
+        assert not ctx.sparse_affectance.complete
+        a = ctx.raw_affectance
+        default = [int(v) for v in ctx.order]
+        assert ctx.first_fit() == reference_first_fit_sparse(a, n, default)
+        rng = np.random.default_rng(seed)
+        order = [int(v) for v in rng.permutation(n)]
+        assert ctx.first_fit(order) == reference_first_fit_sparse(a, n, order)
+        active = np.flatnonzero(rng.random(n) < 0.6)
+        keep = set(active.tolist())
+        restricted = [v for v in default if v in keep]
+        assert ctx.first_fit(active=active) == reference_first_fit_sparse(
+            a, n, restricted
+        )
 
 
 class TestDynamicChurnIdentity:
@@ -276,6 +351,40 @@ class TestBackendValidation:
             SchedulingContext(
                 links, noise=0.0, beta=1.0, backend="sparse", radius=-1.0
             )
+
+    @pytest.mark.parametrize(
+        "eps,radius",
+        [
+            (0.0, None),
+            (-1.0, None),
+            (float("nan"), None),
+            (1e-2, 0.0),
+            (1e-2, -2.0),
+            (1e-2, float("nan")),
+        ],
+    )
+    def test_bad_sparse_args_rejected_by_both_contexts(self, eps, radius):
+        """NaN fails like a non-positive value, at construction, on both
+        contexts (with or without initial links), building nothing."""
+        links = make_planar_links(6, alpha=3.0, seed=0)
+        space = links.space
+        pairs = [(l.sender, l.receiver) for l in links]
+        match = "eps must be positive" if radius is None else "radius"
+        with pytest.raises(LinkError, match=match):
+            SchedulingContext(
+                links, noise=0.0, beta=1.0, backend="sparse", eps=eps,
+                radius=radius,
+            )
+        for initial in (pairs, []):
+            with pytest.raises(LinkError, match=match):
+                DynamicContext(
+                    space, initial, backend="sparse", eps=eps,
+                    radius=1.0 if radius is None else radius,
+                )
+        # Nothing was built on the shared space: no metricity, no cell
+        # index from a pattern build.
+        assert space._cache == {}
+        assert space.geometry._node_index_cache == {}
 
     def test_check_context_pins_backend(self):
         links = make_planar_links(8, alpha=3.0, seed=0)
