@@ -6,6 +6,15 @@ scheduling once the pattern build stops being the bottleneck (the
 ROADMAP's pre-sharding step).  Run it directly:
 
     PYTHONPATH=src python benchmarks/profile_place.py [m] [horizon]
+    PYTHONPATH=src python benchmarks/profile_place.py --events [m] [n_events]
+
+The second form profiles the batch-1 *event path* instead (see
+:func:`run_event_path`): the served substrate of the ``serve_open_m10k``
+benchmark workload without the daemon, one departure plus one arrival
+per event, each fed through the driver and the repairer on its own.
+The anchor schedule is built before profiling starts, so only the
+per-event work is measured; the script prints the median ms/event and
+the Python-level calls per event next to the leaderboards.
 
 It replays the exact workload of
 ``benchmarks/bench_sparse.py::test_scale_sparse_churn_repair_m10k``
@@ -37,9 +46,11 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import statistics
 import sys
+import time
 
-from repro.algorithms.context import SchedulingContext
+from repro.algorithms.context import DynamicContext, SchedulingContext
 from repro.algorithms.repair import OnlineRepairScheduler
 from repro.dynamics import ChurnDriver
 from repro.scenarios import build_dynamic_scenario
@@ -71,19 +82,80 @@ def run_baseline(m: int = 10_000, horizon: int = 200, eps: float = 0.2):
     return scheduler
 
 
-def main() -> None:
-    m = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
-    horizon = int(sys.argv[2]) if len(sys.argv) > 2 else 200
-    profiler = cProfile.Profile()
-    profiler.enable()
-    scheduler = run_baseline(m, horizon)
-    profiler.disable()
-    print(
-        f"m={m} horizon={horizon}: {scheduler.stats.events} events, "
-        f"{scheduler.slot_count} slots, "
-        f"{scheduler.stats.placements} placements\n"
+def run_event_path(
+    m: int = 10_000,
+    n_events: int = 1000,
+    eps: float = 0.2,
+    radius: float = 12.0,
+    profiler: cProfile.Profile | None = None,
+) -> list[float]:
+    """Replay ``n_events`` batch-1 churn events; seconds per event.
+
+    The ``serve_open_m10k`` substrate: ``planar_uniform`` poisson churn
+    at ``churn_rate=1.0`` (every event is one departure plus one
+    arrival), a sparse context at tail tolerance ``eps`` with the
+    interaction radius pinned, and the first-fit repairer the daemon
+    wires by default.  Each event is fed and repaired on its own, as the
+    daemon's batch-1 worker does.  ``profiler``, if given, is enabled
+    around the event loop only — never around the anchor build.
+    """
+    scn = build_dynamic_scenario(
+        "poisson_churn",
+        n_links=m,
+        seed=1,
+        substrate="planar_uniform",
+        horizon=n_events,
+        churn_rate=1.0,
     )
-    stats = pstats.Stats(profiler)
+    dyn = DynamicContext(
+        scn.space, scn.initial_links(), backend="sparse", eps=eps,
+        radius=radius,
+    )
+    driver = ChurnDriver(dyn, scn)
+    scheduler = OnlineRepairScheduler(dyn, anchor=True)
+    times = []
+    if profiler is not None:
+        profiler.enable()
+    for ev in scn.events:
+        t0 = time.perf_counter()
+        gone, fresh = driver.feed(ev)
+        scheduler.apply(fresh, gone)
+        times.append(time.perf_counter() - t0)
+    if profiler is not None:
+        profiler.disable()
+    return times
+
+
+def main() -> None:
+    args = sys.argv[1:]
+    events = bool(args) and args[0] == "--events"
+    if events:
+        args = args[1:]
+    m = int(args[0]) if args else 10_000
+    profiler = cProfile.Profile()
+    if events:
+        n_events = int(args[1]) if len(args) > 1 else 1000
+        # Untimed by the profiler first: cProfile's per-call hook would
+        # inflate the per-event wall time it is compared against.
+        times = run_event_path(m, n_events)
+        run_event_path(m, n_events, profiler=profiler)
+        stats = pstats.Stats(profiler)
+        print(
+            f"m={m} batch-1 event path: {len(times)} events, median "
+            f"{1e3 * statistics.median(times):.3f} ms/event, "
+            f"{stats.total_calls / len(times):.0f} Python calls/event\n"
+        )
+    else:
+        horizon = int(args[1]) if len(args) > 1 else 200
+        profiler.enable()
+        scheduler = run_baseline(m, horizon)
+        profiler.disable()
+        print(
+            f"m={m} horizon={horizon}: {scheduler.stats.events} events, "
+            f"{scheduler.slot_count} slots, "
+            f"{scheduler.stats.placements} placements\n"
+        )
+        stats = pstats.Stats(profiler)
     for sort, title in (("cumulative", "cumulative time"), ("tottime", "internal time")):
         print(f"== top repair/context/sparse frames by {title} ==")
         stats.sort_stats(sort).print_stats("|".join(_INTERESTING), 15)

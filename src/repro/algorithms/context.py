@@ -32,7 +32,11 @@ share one context.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -859,8 +863,8 @@ class SchedulingContext:
 
 
 #: Shared empty adjacency pair for free sparse slots.  Safe to share:
-#: slot adjacencies are replaced wholesale on mutation, never edited in
-#: place.
+#: a slot's adjacency is replaced wholesale on mutation, never edited in
+#: place (the replacements are views into per-call merge buffers).
 _EMPTY_ADJ: tuple[np.ndarray, np.ndarray] = (
     np.empty(0, dtype=np.int64),
     np.empty(0),
@@ -1004,7 +1008,7 @@ class DynamicContext:
         "_a_raw", "_a_clip", "_dist", "_active", "_free", "_count",
         "_in_sum", "_out_sum",
         "_backend", "_eps", "_radius", "_row", "_col",
-        "_node_index", "_by_sender", "_by_receiver",
+        "_node_index", "_at_count", "_at_slot",
         "last_removed_rows",
     )
 
@@ -1078,10 +1082,12 @@ class DynamicContext:
         if self._backend == "sparse":
             # Per-slot adjacency mirrors: _row[w] = (v indices, a_w(v)),
             # _col[v] = (w indices, a_w(v)) as parallel numpy arrays (raw
-            # values; clipping happens on read).  Arrays are replaced
-            # wholesale on mutation, so arrivals and departures touch
-            # O(degree) entries with no per-entry Python objects — the
-            # m=10^4+ regime where dict storage would dominate memory.
+            # values; clipping happens on read), each index-sorted so
+            # every ledger sum over a row keeps its operand order.
+            # Arrivals and departures merge the O(degree) touched entries
+            # of all touched slots in one vectorized pass and replace
+            # those slots wholesale, with no per-entry Python objects —
+            # the m=10^4+ regime where dict storage would dominate memory.
             self._a_raw: np.ndarray | None = None
             self._a_clip: np.ndarray | None = None
             self._row: list[tuple[np.ndarray, np.ndarray]] | None = [
@@ -1090,14 +1096,24 @@ class DynamicContext:
             self._col: list[tuple[np.ndarray, np.ndarray]] | None = [
                 _EMPTY_ADJ
             ] * cap
+            # Node -> active-slot map over endpoint keys (sender u is key
+            # u, receiver u is key n + u): _at_count[key] counts the
+            # active links with that endpoint, and _at_slot[key] is the
+            # link's slot while the count is one.  Links on their own
+            # nodes (every scenario builds them so) resolve by gathers;
+            # a node shared by several active links is resolved by a
+            # scan of the active slots.
+            n = self._space.n
+            self._at_count = np.zeros(2 * n, dtype=np.int64)
+            self._at_slot = np.zeros(2 * n, dtype=np.int64)
         else:
             self._a_raw = np.zeros((cap, cap))
             self._a_clip = np.zeros((cap, cap))
             self._row = None
             self._col = None
+            self._at_count = None
+            self._at_slot = None
         self._node_index = None
-        self._by_sender: dict[int, set[int]] = {}
-        self._by_receiver: dict[int, set[int]] = {}
         self._dist: np.ndarray | None = None
         self._active = np.zeros(cap, dtype=bool)
         self._free = list(range(cap))
@@ -1163,12 +1179,7 @@ class DynamicContext:
                 self._row[i] = (idx.copy(), val.copy())
                 idx, val = raw.col(i)
                 self._col[i] = (idx.copy(), val.copy())
-                self._by_sender.setdefault(
-                    int(links.senders[i]), set()
-                ).add(i)
-                self._by_receiver.setdefault(
-                    int(links.receivers[i]), set()
-                ).add(i)
+            self._register(sl)
             clip = sp.clip
             self._in_sum[:m] = clip.sum_axis0()
             self._out_sum[:m] = clip.sum_axis1()
@@ -1381,10 +1392,13 @@ class DynamicContext:
         vectorized broadcasts.  Batching is **byte-identical** to
         admitting the same pairs one at a time (a sequence of singleton
         batches, i.e. :meth:`add_link` calls): the same slots are
-        assigned (lowest free first, capacity doubling on demand), every
-        matrix entry is produced by the same elementwise IEEE expression,
-        and the ledger sums absorb the new rows/columns in the same
-        accumulation order.  The test suite pins this.
+        assigned (lowest free first, capacity doubling on demand) and
+        every matrix entry (sparse: every adjacency index and value) is
+        produced by the same elementwise IEEE expression.  The dense
+        ledger sums absorb the new rows/columns in the same accumulation
+        order and match bit for bit too; the sparse ones absorb a
+        batch's entries in batch order, so they match to rounding only
+        (no scheduling kernel reads them).  The test suite pins both.
 
         ``powers`` is a scalar applied to every arrival (default 1.0) or
         a per-arrival sequence.  Unlike a sequential loop, validation is
@@ -1417,7 +1431,7 @@ class DynamicContext:
                 raise PowerError(
                     f"power vector must be a scalar or have shape ({k},)"
                 )
-        if not np.all(np.isfinite(p_new)) or np.any(p_new <= 0):
+        if not np.isfinite(p_new).all() or (p_new <= 0).any():
             raise PowerError("powers must be positive and finite")
         # Pairwise decays (an exact entry read on materialized spaces, the
         # same elementwise formula on lazy ones) — never the full f matrix,
@@ -1427,7 +1441,7 @@ class DynamicContext:
         )
         # Same scalar expression as add_link / noise_constants, batched.
         slack = 1.0 - self._beta * self._noise * l_new / p_new
-        if np.any(slack <= 0):
+        if (slack <= 0).any():
             bad = int(np.argmin(slack))
             raise InfeasibleLinkError(
                 f"arriving link ({pairs[bad].sender}, {pairs[bad].receiver}) "
@@ -1440,20 +1454,20 @@ class DynamicContext:
         # whenever the free list runs dry (so slot indices never move).
         while self._capacity - self._count < k:
             self._grow(self._capacity + 1)
-        act = self.active_slots
         slots = [heapq.heappop(self._free) for _ in range(k)]
         sl = np.asarray(slots, dtype=int)
         # Scalar state first: both backends' pair formulas below read the
-        # arrivals' own entries (act never overlaps sl, so nothing active
-        # is disturbed).
+        # arrivals' own entries (the arrivals join the active set last,
+        # so nothing active is disturbed).
         self._senders[sl] = s_new
         self._receivers[sl] = r_new
         self._powers[sl] = p_new
         self._lengths[sl] = l_new
         self._c[sl] = c_new
         if self._backend == "sparse":
-            self._insert_sparse_links(sl, act, s_new, r_new)
+            self._insert_sparse_links(sl, s_new, r_new)
         else:
+            act = self.active_slots
             f = self._space.f
             # Affectance blocks, per element the exact association order of
             # add_link: (c_v * (P_u / P_v)) * (f_vv / f_uv).
@@ -1499,8 +1513,8 @@ class DynamicContext:
                 self._out_sum[slot] = clip_row.sum()
                 self._in_sum[act_i] += clip_row
                 self._out_sum[act_i] += clip_col
-        if self._dist is not None:
-            self._update_dist_block(sl, act, s_new, r_new, l_new)
+            if self._dist is not None:
+                self._update_dist_block(sl, act, s_new, r_new, l_new)
         self._active[sl] = True
         self._count += k
         return slots
@@ -1508,7 +1522,6 @@ class DynamicContext:
     def _insert_sparse_links(
         self,
         sl: np.ndarray,
-        act: np.ndarray,
         s_new: np.ndarray,
         r_new: np.ndarray,
     ) -> None:
@@ -1520,6 +1533,12 @@ class DynamicContext:
         what a freeze-time rebuild at the pinned radius produces.  Values
         use the dense association order, making every stored float the
         exact dense matrix entry.
+
+        One query serves both endpoint roles of the whole batch: the
+        first ``k`` query points are the new receivers, the last ``k``
+        the new senders.  Hits come offset-major, so each role's hits,
+        taken in place, keep the order a query of that role alone would
+        return, and the ledgers absorb the entries in the same order.
         """
         if self._node_index is None:
             # One instance per (geometry, cell size) across all consumers:
@@ -1530,20 +1549,20 @@ class DynamicContext:
         pts = nidx.points
         radius = self._radius
         k = sl.size
-        w_parts: list[int] = []
-        v_parts: list[int] = []
-        # Arrivals as affected links: active senders near each new receiver.
-        q_idx, node_idx, _ = nidx.query(pts[r_new], radius)
-        for qi, node in zip(q_idx.tolist(), node_idx.tolist()):
-            for w in self._by_sender.get(node, ()):
-                w_parts.append(w)
-                v_parts.append(int(sl[qi]))
+        q_idx, node_idx, _ = nidx.query(
+            pts[np.concatenate((r_new, s_new))], radius
+        )
+        near_rx = q_idx < k
+        # Arrivals as affected links: active senders near each new
+        # receiver.  The arrivals are not registered yet, so neither
+        # role sees them (the new-vs-new block covers those pairs).
+        q_rx = q_idx[near_rx]
+        hit, w_in = self._active_at(node_idx[near_rx])
         # Arrivals as acting links: active receivers near each new sender.
-        q_idx, node_idx, _ = nidx.query(pts[s_new], radius)
-        for qi, node in zip(q_idx.tolist(), node_idx.tolist()):
-            for v in self._by_receiver.get(node, ()):
-                w_parts.append(int(sl[qi]))
-                v_parts.append(v)
+        q_tx = q_idx[~near_rx]
+        hit_tx, v_out = self._active_at(node_idx[~near_rx] + self._space.n)
+        w_parts = [w_in, sl[q_tx[hit_tx] - k]]
+        v_parts = [sl[q_rx[hit]], v_out]
         # New-versus-new, both orientations (slot identity excludes the
         # diagonal, matching the builder's w != v filter).
         if k > 1:
@@ -1551,17 +1570,13 @@ class DynamicContext:
             d_nn = np.sqrt((diff**2).sum(axis=-1))
             ii, jj = np.nonzero(d_nn <= radius)
             keep = ii != jj
-            w_parts.extend(sl[ii[keep]].tolist())
-            v_parts.extend(sl[jj[keep]].tolist())
-        # Register the arrivals only now: the queries above must not see
-        # them (the new-vs-new block already covers those pairs).
-        for i in range(k):
-            self._by_sender.setdefault(int(s_new[i]), set()).add(int(sl[i]))
-            self._by_receiver.setdefault(int(r_new[i]), set()).add(int(sl[i]))
-        if not w_parts:
+            w_parts.append(sl[ii[keep]])
+            v_parts.append(sl[jj[keep]])
+        self._register(sl)
+        ww = np.concatenate(w_parts)
+        if ww.size == 0:
             return
-        ww = np.asarray(w_parts, dtype=np.int64)
-        vv = np.asarray(v_parts, dtype=np.int64)
+        vv = np.concatenate(v_parts)
         f_wv = np.asarray(
             self._space.decay_pairs(self._senders[ww], self._receivers[vv]),
             dtype=float,
@@ -1577,115 +1592,145 @@ class DynamicContext:
         # slots add sequentially like the historical per-entry loop).
         np.add.at(self._in_sum, vv, clipped)
         np.add.at(self._out_sum, ww, clipped)
-        # Extend each touched adjacency once: group the new entries by
-        # row (and mirror by column) and concatenate per slot.
-        self._extend_adjacency(self._row, ww, vv, vals)
-        self._extend_adjacency(self._col, vv, ww, vals)
+        # Extend each touched adjacency (row and column mirror) once.
+        cap = self._capacity
+        self._extend_adjacency(
+            np.concatenate((ww, vv + cap)),
+            np.concatenate((vv, ww)),
+            np.concatenate((vals, vals)),
+        )
+
+    def _endpoint_keys(self, slots: np.ndarray) -> np.ndarray:
+        """Node-map keys of the links at ``slots``: senders, then
+        receivers shifted by the node count."""
+        return np.concatenate(
+            (self._senders[slots], self._receivers[slots] + self._space.n)
+        )
+
+    def _register(self, slots: np.ndarray) -> None:
+        """Enter (active-to-be) ``slots`` into the node -> slot map."""
+        keys = self._endpoint_keys(slots)
+        np.add.at(self._at_count, keys, 1)
+        self._at_slot[keys] = np.concatenate((slots, slots))
+
+    def _unregister(self, slots: np.ndarray) -> None:
+        """Drop (already deactivated) ``slots`` from the node -> slot map."""
+        keys = self._endpoint_keys(slots)
+        np.subtract.at(self._at_count, keys, 1)
+        # An endpoint left with one link after several shared it: its
+        # slot entry went stale while shared, so look it up again.
+        for key in set(keys[self._at_count[keys] == 1].tolist()):
+            self._at_slot[key] = self._sharing(key)[0]
+
+    def _sharing(self, key: int) -> np.ndarray:
+        """Active slots with endpoint ``key``, by a scan (shared nodes)."""
+        role, node = divmod(key, self._space.n)
+        nodes = self._receivers if role else self._senders
+        return np.flatnonzero(self._active & (nodes == node))
+
+    def _active_at(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Active links with an endpoint key in ``keys``: ``(j, slot)``
+        pairs with ``keys[j]`` the link's key, ``j`` ascending and slots
+        ascending per key."""
+        count = self._at_count[keys]
+        j = count.nonzero()[0]
+        slots = self._at_slot[keys[j]]
+        count = count[j]
+        if j.size and count.max() > 1:
+            slots = np.concatenate(
+                [
+                    self._sharing(key) if c > 1 else [slot]
+                    for key, slot, c in zip(
+                        keys[j].tolist(), slots.tolist(), count.tolist()
+                    )
+                ]
+            )
+            j = np.repeat(j, count)
+        return j, slots
+
+    def _mirror_get(
+        self, keys: list[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The adjacency arrays of sorted mirror ``keys``: ``w`` names
+        ``_row[w]`` and ``capacity + v`` names ``_col[v]``."""
+        cap = self._capacity
+        split = bisect_left(keys, cap)
+        return list(map(self._row.__getitem__, keys[:split])) + [
+            self._col[key - cap] for key in keys[split:]
+        ]
+
+    def _mirror_set(
+        self,
+        keys: list[int],
+        ends: Iterable[int],
+        idx: np.ndarray,
+        val: np.ndarray,
+    ) -> None:
+        """Point each mirror key at its run of ``(idx, val)``: views into
+        the shared buffers, laid out in key order, each run ending at the
+        matching entry of ``ends``."""
+        cap = self._capacity
+        row, col = self._row, self._col
+        lo = 0
+        for key, hi in zip(keys, ends):
+            if key < cap:
+                row[key] = (idx[lo:hi], val[lo:hi])
+            else:
+                col[key - cap] = (idx[lo:hi], val[lo:hi])
+            lo = hi
 
     def _extend_adjacency(
-        self,
-        adj: list[tuple[np.ndarray, np.ndarray]],
-        keys: np.ndarray,
-        others: np.ndarray,
-        vals: np.ndarray,
+        self, keys: np.ndarray, others: np.ndarray, vals: np.ndarray
     ) -> None:
-        """Append ``(others, vals)`` entries to ``adj[key]`` per key,
-        keeping every touched slot index-sorted.
+        """Merge entry ``(others[j], vals[j])`` into mirror ``keys[j]``
+        (see :meth:`_mirror_get`), keeping every touched array
+        index-sorted.
 
-        All touched slots merge in one pass: both streams are sorted
-        under the composite (slot, index) key — old arrays by the
-        maintained invariant, new entries by the up-front composite
-        sort (within one slot they may arrive as several sorted runs,
-        e.g. by-sender then by-receiver, so sorting by slot alone is
-        not enough) — so a single ``searchsorted`` + ``np.insert``
-        produces every slot's sorted merge at once.  Indices are unique
-        per slot (a new link's partners are never already present), so
-        the merge equals the per-slot ``argsort`` of the concatenation
-        exactly.
+        All touched arrays of both mirrors merge in one pass.  Their old
+        entries, concatenated in key order, are already sorted under the
+        composite ``key * capacity + index``; the new entries follow in
+        any order, and one stable argsort (a sorted run plus a short
+        tail, linear for timsort) orders the whole buffer.  Indices are
+        unique per array (a new link's partners are never already
+        present), so the merge equals the per-array ``argsort`` of the
+        concatenation exactly.
         """
-        big = self._capacity  # strict index upper bound
-        order = np.argsort(
-            keys.astype(np.int64) * big + others, kind="stable"
-        )
-        ks, os_, vs = keys[order], others[order], vals[order]
-        uniq, starts = np.unique(ks, return_index=True)
-        counts = np.diff(np.append(starts, ks.size))
-        slots = uniq.tolist()
-        old = [adj[key] for key in slots]
-        old_lens = np.array([o[0].size for o in old], dtype=np.int64)
-        old_idx = np.concatenate([o[0] for o in old])
-        old_val = np.concatenate([o[1] for o in old])
-        ranks = np.arange(len(slots), dtype=np.int64)
-        key_old = np.repeat(ranks, old_lens) * big + old_idx
-        key_new = np.repeat(ranks, counts) * big + os_
-        pos = np.searchsorted(key_old, key_new)
-        merged_idx = np.insert(old_idx, pos, os_)
-        merged_val = np.insert(old_val, pos, vs)
-        offs = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(old_lens + counts, out=offs[1:])
-        bounds = offs.tolist()
-        for j, key in enumerate(slots):
-            lo, hi = bounds[j], bounds[j + 1]
-            # Views into the merged buffer: adjacency is replaced
-            # wholesale on every mutation, never edited in place, and
-            # the buffer holds exactly these slots' rows, so no slack
-            # memory is pinned.
-            adj[key] = (merged_idx[lo:hi], merged_val[lo:hi])
+        new_count = Counter(keys.tolist())
+        touched = sorted(new_count)
+        old_idx, old_val = zip(*self._mirror_get(touched))
+        lens = list(map(len, old_idx))
+        idx = np.concatenate(old_idx + (others,))
+        val = np.concatenate(old_val + (vals,))
+        composite = np.concatenate((np.repeat(touched, lens), keys))
+        composite *= self._capacity
+        composite += idx
+        order = np.argsort(composite, kind="stable")
+        sizes = map(add, lens, map(new_count.__getitem__, touched))
+        self._mirror_set(touched, accumulate(sizes), idx[order], val[order])
 
-    def _shrink_adjacency(
-        self,
-        adj: list[tuple[np.ndarray, np.ndarray]],
-        partners: np.ndarray,
-        targets: np.ndarray,
-    ) -> None:
-        """Drop entry ``targets[j]`` from ``adj[partners[j]]``, for all
-        ``j``, in one pass over the concatenated partner arrays.
+    def _shrink_adjacency(self, keys: np.ndarray) -> None:
+        """Drop every entry naming an inactive slot from the mirror
+        arrays named in ``keys`` (see :meth:`_mirror_get`), in one pass
+        over their concatenation.
 
-        The composite (partner-rank, index) key locates every target in
-        every partner with a single ``searchsorted``; pairs whose entry
-        is already gone (both endpoints leaving in one batch) simply
-        miss.  Equivalent to the historical per-partner mask filter:
-        indices are unique per slot, so each pair deletes at most one
-        entry and the survivors keep their order.
+        ``keys`` names each array once per departed slot it holds (the
+        departed slots' partner lists, concatenated).  Adjacency arrays
+        name active slots only, so once the departing slots are
+        deactivated the active mask picks the survivors, which keep
+        their order, and each array shrinks by its count in ``keys``.
         """
-        big = self._capacity
-        order = np.argsort(
-            partners.astype(np.int64) * big + targets, kind="stable"
+        count = Counter(keys.tolist())
+        touched = sorted(count)
+        old_idx, old_val = zip(*self._mirror_get(touched))
+        idx = np.concatenate(old_idx)
+        keep = self._active[idx]
+        sizes = map(sub, map(len, old_idx), map(count.__getitem__, touched))
+        self._mirror_set(
+            touched,
+            accumulate(sizes),
+            idx[keep],
+            np.concatenate(old_val)[keep],
         )
-        ps, ts = partners[order], targets[order]
-        uniq, starts = np.unique(ps, return_index=True)
-        counts = np.diff(np.append(starts, ps.size))
-        slots = uniq.tolist()
-        old = [adj[p] for p in slots]
-        lens = np.array([o[0].size for o in old], dtype=np.int64)
-        flat_i = np.concatenate([o[0] for o in old])
-        flat_v = np.concatenate([o[1] for o in old])
-        ranks = np.arange(len(slots), dtype=np.int64)
-        key = np.repeat(ranks, lens) * big + flat_i
-        target = np.repeat(ranks, counts) * big + ts
-        pos = np.searchsorted(key, target)
-        pos_c = np.minimum(pos, max(key.size - 1, 0))
-        hit = (
-            (key[pos_c] == target)
-            if key.size
-            else np.zeros(target.size, dtype=bool)
-        )
-        gone_per_slot = np.bincount(
-            np.repeat(ranks, counts)[hit], minlength=len(slots)
-        )
-        if hit.any():
-            flat_i = np.delete(flat_i, pos[hit])
-            flat_v = np.delete(flat_v, pos[hit])
-        offs = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(lens - gone_per_slot, out=offs[1:])
-        bounds = offs.tolist()
-        for j, p in enumerate(slots):
-            lo, hi = bounds[j], bounds[j + 1]
-            # Views into the surviving buffer: adjacency is replaced
-            # wholesale on every mutation, never edited in place, and
-            # the buffer holds exactly these slots' rows, so no slack
-            # memory is pinned.
-            adj[p] = (flat_i[lo:hi], flat_v[lo:hi])
 
     def _update_dist_block(
         self,
@@ -1735,15 +1780,17 @@ class DynamicContext:
 
         O(m) per removed link: ledger sums shed the departed rows and
         columns by subtraction, and the freed rows/columns are zeroed so
-        the padded matrices never leak stale interference.
+        the padded matrices never leak stale interference.  Slot ids
+        must be integers (Python or numpy; bools and floats are refused
+        with :class:`LinkError` before anything changes).
         """
-        if isinstance(slots, (int, np.integer)):
-            slots = [int(slots)]
-        idx = np.asarray(sorted({int(s) for s in slots}), dtype=int)
+        idx = self._slot_ids(slots)
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= self._capacity or not bool(
-            np.all(self._active[idx])
+        if (
+            idx[0] < 0
+            or idx[-1] >= self._capacity
+            or not self._active[idx].all()
         ):
             bad = [
                 int(s)
@@ -1752,56 +1799,29 @@ class DynamicContext:
             ]
             raise LinkError(f"cannot remove inactive slots {bad[:5]}")
         removed_rows: dict[int, np.ndarray] = {}
+        # Deactivate first: the sparse shrink keeps the adjacency entries
+        # that name active slots.
+        self._active[idx] = False
         if self._backend == "sparse":
-            col_partners: list[np.ndarray] = []
-            row_partners: list[np.ndarray] = []
-            col_targets: list[np.ndarray] = []
-            row_targets: list[np.ndarray] = []
+            cap = self._capacity
+            partners: list[np.ndarray] = []
             for s in idx.tolist():
                 # Shed this slot's row (its effect on survivors) and column
-                # (survivors' effect on it), unhooking both adjacency
-                # mirrors.  The pair streams are collected across the whole
-                # batch and applied in two passes below; pair deletion is
-                # idempotent, so when both endpoints of a pair leave in
-                # the same batch the second entry simply finds the slot
-                # already zeroed and misses.
+                # (survivors' effect on it); each row partner v holds s in
+                # _col[v], each column partner w in _row[w].
                 ri, rv = self._row[s]
                 removed_rows[s] = ri
                 self._in_sum[ri] -= np.minimum(rv, 1.0)
-                if ri.size:
-                    col_partners.append(ri)
-                    col_targets.append(np.full(ri.size, s, dtype=np.int64))
                 ci, cv = self._col[s]
                 self._out_sum[ci] -= np.minimum(cv, 1.0)
-                if ci.size:
-                    row_partners.append(ci)
-                    row_targets.append(np.full(ci.size, s, dtype=np.int64))
+                partners += (ci, ri + cap)
+            keys = np.concatenate(partners)
+            if keys.size:
+                self._shrink_adjacency(keys)
+            for s in idx.tolist():
                 self._row[s] = _EMPTY_ADJ
                 self._col[s] = _EMPTY_ADJ
-                snode = int(self._senders[s])
-                rnode = int(self._receivers[s])
-                group = self._by_sender.get(snode)
-                if group is not None:
-                    group.discard(s)
-                    if not group:
-                        del self._by_sender[snode]
-                group = self._by_receiver.get(rnode)
-                if group is not None:
-                    group.discard(s)
-                    if not group:
-                        del self._by_receiver[rnode]
-            if col_partners:
-                self._shrink_adjacency(
-                    self._col,
-                    np.concatenate(col_partners),
-                    np.concatenate(col_targets),
-                )
-            if row_partners:
-                self._shrink_adjacency(
-                    self._row,
-                    np.concatenate(row_partners),
-                    np.concatenate(row_targets),
-                )
+            self._unregister(idx)
         else:
             self._in_sum -= self._a_clip[idx].sum(axis=0)
             self._out_sum -= self._a_clip[:, idx].sum(axis=1)
@@ -1815,10 +1835,25 @@ class DynamicContext:
         self.last_removed_rows = removed_rows
         self._in_sum[idx] = 0.0
         self._out_sum[idx] = 0.0
-        self._active[idx] = False
         self._count -= idx.size
-        for s in idx:
-            heapq.heappush(self._free, int(s))
+        for s in idx.tolist():
+            heapq.heappush(self._free, s)
+
+    @staticmethod
+    def _slot_ids(slots: Iterable[int] | int) -> np.ndarray:
+        """Sorted distinct slot ids, refusing anything but integers."""
+        if isinstance(slots, np.ndarray):
+            ok = slots.dtype.kind in "iu" or slots.size == 0
+            items = slots.ravel().tolist()
+        else:
+            items = list(slots) if isinstance(slots, Iterable) else [slots]
+            ok = all(
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                for s in items
+            )
+        if not ok:
+            raise LinkError(f"slot ids must be integers, got {slots!r}")
+        return np.array(sorted(set(map(int, items))), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Distances

@@ -176,6 +176,10 @@ class CellIndex:
         # side so query cells one step outside the occupied box still get
         # valid (simply unmatched) keys.
         self._dims = coords.max(axis=0) + 1
+        # Row-major strides over the padded extent: a cell's key is
+        # (coords + 1) @ strides, linear in the coordinates.
+        extent = self._dims + 2
+        self._strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
         keys = self._keys_of(coords)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
@@ -185,6 +189,18 @@ class CellIndex:
         self._starts = starts
         self._sizes = np.diff(np.append(starts, keys.size))
         self._uniq_coords = coords[order[starts]]
+        # The 3^dim neighbour stencil, in lexicographic offset order (last
+        # axis fastest), as keys: cell c's neighbour at offset o has key
+        # c @ strides + _stencil_keys[o].
+        stencil = np.stack(
+            np.meshgrid(*([np.array([-1, 0, 1])] * self.dim), indexing="ij"),
+            axis=-1,
+        ).reshape(-1, self.dim)
+        self._stencil_keys = self._keys_of(stencil)
+        # Contiguous per-axis coordinate columns: the distance filter
+        # gathers from these (1-D gathers are cheaper than row gathers
+        # from the (n, dim) array).
+        self._columns = tuple(pts.T.copy())
 
     # ------------------------------------------------------------------
     @property
@@ -202,11 +218,7 @@ class CellIndex:
 
     def _keys_of(self, coords: np.ndarray) -> np.ndarray:
         """Linearize cell coordinates, shifted by the ghost layer."""
-        shifted = coords + 1
-        key = shifted[:, 0]
-        for d in range(1, self.dim):
-            key = key * (self._dims[d] + 2) + shifted[:, d]
-        return key
+        return (coords + 1) @ self._strides
 
     def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """``(coords, counts)`` of the occupied cells."""
@@ -219,107 +231,91 @@ class CellIndex:
         """All (query, point) pairs within Euclidean ``radius``.
 
         Returns ``(q_idx, p_idx, dist)`` — parallel arrays over matches,
-        with exact distances.  Requires ``radius <= cell_size`` (the 3^dim
-        neighbourhood guarantee).
+        with exact distances.  Requires ``0 <= radius <= cell_size`` (the
+        3^dim neighbourhood guarantee).  Matches are ordered by neighbour
+        offset (lexicographic), then query index, then position in the
+        matched cell, so the hits of a subset of the query points come
+        in the same relative order whether or not they are queried
+        alongside others.
 
         Candidates are filtered in ``chunk``-sized slices so the working
         set stays bounded regardless of how many raw candidates the
         neighbourhood scan produces (the 3^dim cells over-cover the radius
         disc ~3x); only the matches are ever held in full.
         """
+        if not radius >= 0:
+            raise GeometryError(
+                f"query radius must be non-negative, got {radius}"
+            )
         if radius > self.h * (1 + 1e-12):
             raise GeometryError(
                 f"query radius {radius} exceeds the cell size {self.h}"
             )
+        if (
+            isinstance(chunk, bool)
+            or not isinstance(chunk, (int, np.integer))
+            or chunk < 1
+        ):
+            raise GeometryError(
+                f"query chunk must be a positive integer, got {chunk!r}"
+            )
         q = np.ascontiguousarray(qpoints, dtype=float)
         if q.ndim != 2 or q.shape[1] != self.dim:
             raise GeometryError(f"query points must have shape (k, {self.dim})")
-        qcoords = np.clip(self.cell_of(q), -1, self._dims[None, :])
-        planar = self.dim == 2
-        if planar:
-            # Per-axis columns: the planar distance is two gathers and a
-            # fused square-accumulate per chunk, bitwise identical to the
-            # (k, 2) row reduction (a single IEEE add either way).
-            qx = np.ascontiguousarray(q[:, 0])
-            qy = np.ascontiguousarray(q[:, 1])
-            px = np.ascontiguousarray(self.points[:, 0])
-            py = np.ascontiguousarray(self.points[:, 1])
+        k = q.shape[0]
+        qcells = np.minimum(self.cell_of(q), self._dims)
+        np.maximum(qcells, -1, out=qcells)
+        qkeys = qcells @ self._strides
         q_parts: list[np.ndarray] = []
         p_parts: list[np.ndarray] = []
         d_parts: list[np.ndarray] = []
-        offsets = np.stack(
-            np.meshgrid(*([np.array([-1, 0, 1])] * self.dim), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, self.dim)
-
-        def _filter(rr: np.ndarray, pp: np.ndarray) -> None:
-            if planar:
-                dx = qx[rr] - px[pp]
-                dx *= dx
-                dy = qy[rr] - py[pp]
-                dy *= dy
-                dx += dy
-                dist = np.sqrt(dx)
-            else:
-                diff = q[rr] - self.points[pp]
-                dist = np.sqrt((diff**2).sum(axis=-1))
-            keep = dist <= radius
-            q_parts.append(rr[keep])
-            p_parts.append(pp[keep])
-            d_parts.append(dist[keep])
-
-        k = q.shape[0]
-        if k * offsets.shape[0] <= _SMALL_QUERY_LIMIT:
-            # Small query sets (the churn hot path: one or two points per
-            # event): probe all 3^dim neighbour cells in ONE pass.  The
-            # stacked neighbour list enumerates offset-major, query-minor
-            # — `np.flatnonzero` walks hits in exactly the order the
-            # per-offset loop below concatenates them, so the returned
-            # pairs (and their float distances) are identical.
-            nb = (qcoords[None, :, :] + offsets[:, None, :]).reshape(
-                -1, self.dim
-            )
-            keys = self._keys_of(nb)
+        n_off = self._stencil_keys.size
+        # The whole stencil in one pass for small query sets (the churn
+        # hot path), one offset per pass beyond _SMALL_QUERY_LIMIT; both
+        # walk offset-major, query-minor.
+        step = n_off if k * n_off <= _SMALL_QUERY_LIMIT else 1
+        for lo in range(0, n_off, step):
+            keys = (
+                self._stencil_keys[lo : lo + step, None] + qkeys[None, :]
+            ).ravel()
             pos = np.searchsorted(self._uniq_keys, keys)
-            pos_c = np.minimum(pos, self._uniq_keys.size - 1)
-            hit = self._uniq_keys[pos_c] == keys
-            if hit.any():
-                qi = np.flatnonzero(hit)
-                cell = pos_c[qi]
-                sizes = self._sizes[cell]
-                starts = self._starts[cell]
-                reps = np.repeat(qi % k, sizes)
-                within = np.arange(sizes.sum()) - np.repeat(
-                    np.cumsum(sizes) - sizes, sizes
-                )
-                pts_idx = self._order[np.repeat(starts, sizes) + within]
-                for lo in range(0, reps.size, chunk):
-                    _filter(reps[lo : lo + chunk], pts_idx[lo : lo + chunk])
-        else:
-            for off in offsets:
-                nb = qcoords + off[None, :]
-                keys = self._keys_of(nb)
-                pos = np.searchsorted(self._uniq_keys, keys)
-                pos_c = np.minimum(pos, self._uniq_keys.size - 1)
-                hit = self._uniq_keys[pos_c] == keys
-                if not hit.any():
-                    continue
-                qi = np.flatnonzero(hit)
-                cell = pos_c[qi]
-                sizes = self._sizes[cell]
-                starts = self._starts[cell]
-                # Ragged expansion: repeat each query for every point in
-                # the matched cell, then index into the sorted-point order.
-                reps = np.repeat(qi, sizes)
-                within = np.arange(sizes.sum()) - np.repeat(
-                    np.cumsum(sizes) - sizes, sizes
-                )
-                pts_idx = self._order[np.repeat(starts, sizes) + within]
-                for lo in range(0, reps.size, chunk):
-                    _filter(reps[lo : lo + chunk], pts_idx[lo : lo + chunk])
+            np.minimum(pos, self._uniq_keys.size - 1, out=pos)
+            qi = (self._uniq_keys[pos] == keys).nonzero()[0]
+            if qi.size == 0:
+                continue
+            cell = pos[qi]
+            sizes = self._sizes[cell]
+            ends = np.cumsum(sizes)
+            # Ragged expansion: repeat each probe for every point in the
+            # matched cell, then index into the sorted-point order.
+            reps = np.repeat(qi % k, sizes)
+            pts_idx = self._order[
+                np.arange(ends[-1])
+                + np.repeat(self._starts[cell] - (ends - sizes), sizes)
+            ]
+            for c in range(0, reps.size, chunk):
+                rr = reps[c : c + chunk]
+                pp = pts_idx[c : c + chunk]
+                # Squares summed in axis order: the same IEEE adds as a
+                # row reduction over the last axis.
+                acc = None
+                for qc, pc in zip(q.T, self._columns):
+                    diff = qc[rr] - pc[pp]
+                    diff *= diff
+                    if acc is None:
+                        acc = diff
+                    else:
+                        acc += diff
+                dist = np.sqrt(acc, out=acc)
+                keep = dist <= radius
+                q_parts.append(rr[keep])
+                p_parts.append(pp[keep])
+                d_parts.append(dist[keep])
         if not q_parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), np.empty(0, dtype=float)
+        if len(q_parts) == 1:
+            return q_parts[0], p_parts[0], d_parts[0]
         return (
             np.concatenate(q_parts),
             np.concatenate(p_parts),

@@ -49,6 +49,12 @@ def _fresh_like(dyn: DynamicContext) -> SchedulingContext:
     )
 
 
+def _pinned_radius(space: DecaySpace) -> float:
+    """An interaction radius that keeps some node pairs and drops others."""
+    pts = space.geometry.points
+    return 0.3 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
 def _run_churn(
     links: LinkSet, seed: int, events: int, materialize_dist: bool
 ) -> DynamicContext:
@@ -161,34 +167,59 @@ class TestBatchedArrivals:
         pairs = [(l.sender, l.receiver) for l in links]
         rng = np.random.default_rng(seed)
         m0 = int(rng.integers(0, 6))
-        seq = DynamicContext(links.space, pairs[:m0], capacity=4)
-        bat = DynamicContext(links.space, pairs[:m0], capacity=4)
-        if m0 >= 3:  # fragment the free list so slot reuse is exercised
-            seq.remove_links([1])
-            bat.remove_links([1])
-        if rng.random() < 0.5:
-            seq.link_distances
-            bat.link_distances
+        with_dist = rng.random() < 0.5
+        batches = []
         for _ in range(int(rng.integers(1, 4))):
             k = int(rng.integers(1, 7))
             batch = [
                 pairs[int(rng.integers(len(pairs)))] for _ in range(k)
             ]
-            powers = rng.uniform(0.5, 2.0, size=k)
-            got = [
-                seq.add_link(s, r, power=p)
-                for (s, r), p in zip(batch, powers)
-            ]
-            want = bat.add_links(batch, powers=powers)
-            assert got == want
-        assert seq.capacity == bat.capacity
+            batches.append((batch, rng.uniform(0.5, 2.0, size=k)))
+
+        def replay(**backend):
+            seq, bat = (
+                DynamicContext(links.space, pairs[:m0], capacity=4, **backend)
+                for _ in range(2)
+            )
+            if m0 >= 3:  # fragment the free list so slot reuse is exercised
+                seq.remove_links([1])
+                bat.remove_links([1])
+            if with_dist and not backend:
+                seq.link_distances
+                bat.link_distances
+            for batch, powers in batches:
+                got = [
+                    seq.add_link(s, r, power=p)
+                    for (s, r), p in zip(batch, powers)
+                ]
+                want = bat.add_links(batch, powers=powers)
+                assert got == want
+            assert seq.capacity == bat.capacity
+            assert np.array_equal(seq.lengths, bat.lengths)
+            assert np.array_equal(seq.powers, bat.powers)
+            return seq, bat
+
+        seq, bat = replay()
         assert np.array_equal(seq.raw_affectance, bat.raw_affectance)
         assert np.array_equal(seq.affectance, bat.affectance)
         assert np.array_equal(seq.ledger_in_sums, bat.ledger_in_sums)
         assert np.array_equal(seq.ledger_out_sums, bat.ledger_out_sums)
-        assert np.array_equal(seq.lengths, bat.lengths)
-        assert np.array_equal(seq.powers, bat.powers)
         assert np.array_equal(seq.link_distances, bat.link_distances)
+        # Sparse, at a pinned radius that drops pairs: the adjacency is
+        # identical entry for entry; the ledger sums absorb the entries
+        # in another order (per arrival vs per batch), so they agree to
+        # rounding only.
+        seq, bat = replay(backend="sparse", radius=_pinned_radius(links.space))
+        for s in range(seq.capacity):
+            want = seq._row[s] + seq._col[s]
+            for a, b in zip(want, bat._row[s] + bat._col[s]):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+        for got, want in (
+            (bat.ledger_in_sums, seq.ledger_in_sums),
+            (bat.ledger_out_sums, seq.ledger_out_sums),
+        ):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_batch_into_empty_context(self):
         links = build_scenario("planar_uniform", n_links=6, seed=1)
@@ -306,6 +337,28 @@ class TestDynamicContextMechanics:
         dyn.remove_links([0])
         with pytest.raises(LinkError):
             dyn.remove_links([0])  # already departed
+        # Slot ids are integers: a float, bool or float array is refused
+        # before anything changes, on both backends.
+        bad_ids = (
+            [2.7], [True], np.float64(4.0), 2.0, [np.float64(1.0)],
+            np.array([1.5]), np.array([True]), [1, True],
+        )
+        for backend in ("dense", "sparse"):
+            dyn = DynamicContext(links.space, pairs, backend=backend)
+            m, act = dyn.m, dyn.active_slots.copy()
+            ins = dyn.ledger_in_sums.copy()
+            for ids in bad_ids:
+                with pytest.raises(LinkError, match="integers"):
+                    dyn.remove_links(ids)
+            assert dyn.m == m
+            assert np.array_equal(dyn.active_slots, act)
+            assert np.array_equal(dyn.ledger_in_sums, ins)
+            # Python ints, numpy integer scalars and integer arrays work.
+            dyn.remove_links(np.int64(1))
+            dyn.remove_links(np.array([2], dtype=np.int32))
+            dyn.remove_links([3])
+            dyn.remove_links(np.array([], dtype=float))  # empty: a no-op
+            assert dyn.active_slots.tolist() == [0]
 
     def test_noise_infeasible_arrival_rejected(self):
         links = build_scenario("planar_uniform", n_links=4, seed=5)

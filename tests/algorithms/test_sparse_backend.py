@@ -41,6 +41,7 @@ from repro.core.affectance_sparse import build_sparse_affectance
 from repro.core.decay import DecaySpace
 from repro.core.links import LinkSet
 from repro.errors import LinkError
+from repro.geometry.cells import CellIndex
 from repro.scenarios import build_scenario, scenario_names
 from tests.conftest import CHURN_EXAMPLES, make_planar_links
 
@@ -270,6 +271,71 @@ class TestDynamicChurnIdentity:
             links, seed, make, backend="sparse", eps=TINY_EPS
         )
         assert dense_hist == sparse_hist
+
+
+class TestSparseEventPath:
+    """The sparse arrival path: one neighbour query per arrival batch,
+    and a maintained pattern equal to a rebuild at the pinned radius,
+    also when several active links share a node."""
+
+    def test_one_query_per_arrival_batch(self, monkeypatch):
+        links = make_planar_links(40, 3.0, seed=1)
+        pairs = [(l.sender, l.receiver) for l in links]
+        dyn = DynamicContext(
+            links.space, pairs[:30], backend="sparse", radius=2.0
+        )
+        calls = []
+        original = CellIndex.query
+
+        def spy(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellIndex, "query", spy)
+        dyn.add_links(pairs[30:31])
+        dyn.add_links(pairs[31:35])
+        dyn.add_link(*pairs[35])
+        dyn.remove_links([0, 31])
+        # Both endpoint roles in one call: the receivers, then the senders.
+        assert calls == [2, 8, 2]
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=CHURN_EXAMPLES)
+    def test_shared_nodes_pattern_matches_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        # Four hub nodes and twelve leaves: links share hub endpoints in
+        # both roles, and duplicate links share both.
+        pts = rng.uniform(0.0, 8.0, size=(16, 2))
+        space = DecaySpace.from_points(pts, 3.0)
+        pool = [(int(h), int(l)) for h in range(4) for l in range(4, 16)]
+        pool += [(l, h) for h, l in pool]
+
+        def draw(k):
+            return [pool[int(i)] for i in rng.integers(len(pool), size=k)]
+
+        dyn = DynamicContext(
+            space, draw(6), backend="sparse", radius=float(rng.uniform(2, 6))
+        )
+        for _ in range(12):
+            act = dyn.active_slots
+            if rng.random() < 0.6 or act.size <= 2:
+                dyn.add_links(draw(int(rng.integers(1, 4))))
+            else:
+                dyn.remove_links(
+                    rng.choice(act, size=int(rng.integers(1, 3)), replace=False)
+                )
+            act = dyn.active_slots
+            sp = dyn.freeze().sparse_affectance
+            for i, slot in enumerate(act.tolist()):
+                for (idx, val), (f_idx, f_val) in (
+                    (dyn._row[slot], sp.raw.row(i)),
+                    (dyn._col[slot], sp.raw.col(i)),
+                ):
+                    assert np.array_equal(idx, act[f_idx])
+                    assert np.array_equal(val, f_val)
+            clip = sp.clip
+            assert np.allclose(dyn.ledger_in_sums[act], clip.sum_axis0())
+            assert np.allclose(dyn.ledger_out_sums[act], clip.sum_axis1())
 
 
 class TestTailCertificate:

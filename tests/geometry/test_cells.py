@@ -1,4 +1,11 @@
-"""The far-field certificate table of :class:`repro.geometry.cells.CellIndex`.
+"""The neighbour query and far-field certificate of
+:class:`repro.geometry.cells.CellIndex`.
+
+``query`` probes the 3^dim neighbour cells through key deltas and
+coordinate columns built once per index.  The query kept below as
+``reference_query`` rebuilt its stencil and columns per call; every
+``(q_idx, p_idx, dist)`` triple must equal it array for array, on the
+single-pass and per-offset paths and at any chunk size.
 
 ``far_field_sums`` evaluates each cell pair's denominator through a table
 keyed by the pair's per-axis offsets (or per pair, when that table would
@@ -10,13 +17,186 @@ cells.  ``W`` must also bound the far-field kernel mass it certifies.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.geometry.cells as cells_mod
 from repro.errors import GeometryError
 from repro.geometry.cells import CellIndex
+
+
+def reference_query(index, qpoints, radius, *, chunk=1 << 20):
+    """The neighbour query with its stencil and coordinate columns built
+    per call: the implementation the hoisted one must reproduce."""
+    self = index
+    if radius > self.h * (1 + 1e-12):
+        raise GeometryError(
+            f"query radius {radius} exceeds the cell size {self.h}"
+        )
+    q = np.ascontiguousarray(qpoints, dtype=float)
+    if q.ndim != 2 or q.shape[1] != self.dim:
+        raise GeometryError(f"query points must have shape (k, {self.dim})")
+    qcoords = np.clip(self.cell_of(q), -1, self._dims[None, :])
+    planar = self.dim == 2
+    if planar:
+        qx = np.ascontiguousarray(q[:, 0])
+        qy = np.ascontiguousarray(q[:, 1])
+        px = np.ascontiguousarray(self.points[:, 0])
+        py = np.ascontiguousarray(self.points[:, 1])
+    q_parts: list[np.ndarray] = []
+    p_parts: list[np.ndarray] = []
+    d_parts: list[np.ndarray] = []
+    offsets = np.stack(
+        np.meshgrid(*([np.array([-1, 0, 1])] * self.dim), indexing="ij"),
+        axis=-1,
+    ).reshape(-1, self.dim)
+
+    def _filter(rr: np.ndarray, pp: np.ndarray) -> None:
+        if planar:
+            dx = qx[rr] - px[pp]
+            dx *= dx
+            dy = qy[rr] - py[pp]
+            dy *= dy
+            dx += dy
+            dist = np.sqrt(dx)
+        else:
+            diff = q[rr] - self.points[pp]
+            dist = np.sqrt((diff**2).sum(axis=-1))
+        keep = dist <= radius
+        q_parts.append(rr[keep])
+        p_parts.append(pp[keep])
+        d_parts.append(dist[keep])
+
+    k = q.shape[0]
+    if k * offsets.shape[0] <= cells_mod._SMALL_QUERY_LIMIT:
+        nb = (qcoords[None, :, :] + offsets[:, None, :]).reshape(
+            -1, self.dim
+        )
+        keys = self._keys_of(nb)
+        pos = np.searchsorted(self._uniq_keys, keys)
+        pos_c = np.minimum(pos, self._uniq_keys.size - 1)
+        hit = self._uniq_keys[pos_c] == keys
+        if hit.any():
+            qi = np.flatnonzero(hit)
+            cell = pos_c[qi]
+            sizes = self._sizes[cell]
+            starts = self._starts[cell]
+            reps = np.repeat(qi % k, sizes)
+            within = np.arange(sizes.sum()) - np.repeat(
+                np.cumsum(sizes) - sizes, sizes
+            )
+            pts_idx = self._order[np.repeat(starts, sizes) + within]
+            for lo in range(0, reps.size, chunk):
+                _filter(reps[lo : lo + chunk], pts_idx[lo : lo + chunk])
+    else:
+        for off in offsets:
+            nb = qcoords + off[None, :]
+            keys = self._keys_of(nb)
+            pos = np.searchsorted(self._uniq_keys, keys)
+            pos_c = np.minimum(pos, self._uniq_keys.size - 1)
+            hit = self._uniq_keys[pos_c] == keys
+            if not hit.any():
+                continue
+            qi = np.flatnonzero(hit)
+            cell = pos_c[qi]
+            sizes = self._sizes[cell]
+            starts = self._starts[cell]
+            reps = np.repeat(qi, sizes)
+            within = np.arange(sizes.sum()) - np.repeat(
+                np.cumsum(sizes) - sizes, sizes
+            )
+            pts_idx = self._order[np.repeat(starts, sizes) + within]
+            for lo in range(0, reps.size, chunk):
+                _filter(reps[lo : lo + chunk], pts_idx[lo : lo + chunk])
+    if not q_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0, dtype=float)
+    return (
+        np.concatenate(q_parts),
+        np.concatenate(p_parts),
+        np.concatenate(d_parts),
+    )
+
+
+@st.composite
+def query_cases(draw):
+    """An index, query points in and around its grid, and parameters."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    h = draw(st.sampled_from([0.5, 1.0, 12.0]))
+    extent = h * draw(st.sampled_from([0.5, 3.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(0.0, extent, size=(n, dim))
+    if draw(st.booleans()):  # snapped to a lattice: ties and cell edges
+        pts = np.round(pts / (h / 2)) * (h / 2)
+    index = CellIndex(pts, h, origin=np.zeros(dim))
+    n_q = draw(st.integers(0, 12))
+    parts = [rng.uniform(-2 * h, extent + 2 * h, size=(n_q, dim))]
+    if draw(st.booleans()):  # the indexed points themselves (distance 0)
+        parts.append(pts[rng.integers(0, n, size=draw(st.integers(1, 6)))])
+    if draw(st.booleans()):  # far outside (clipped to the ghost layer)
+        parts.append(rng.uniform(-1e3 * h, 1e3 * h, size=(3, dim)))
+    qpts = np.concatenate(parts)
+    radius = h * draw(st.sampled_from([0.0, 0.3, 0.77, 1.0]))
+    chunk = draw(st.sampled_from([1, 3, 1 << 20]))
+    per_offset = draw(st.booleans())
+    return index, qpts, radius, chunk, per_offset
+
+
+@given(query_cases())
+def test_query_matches_reference(case):
+    index, qpts, radius, chunk, per_offset = case
+    # A zero limit sends every query set down the per-offset path.
+    limit = 0 if per_offset else cells_mod._SMALL_QUERY_LIMIT
+    with mock.patch.object(cells_mod, "_SMALL_QUERY_LIMIT", limit):
+        got = index.query(qpts, radius, chunk=chunk)
+        want = reference_query(index, qpts, radius, chunk=chunk)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_large_query_sets_take_the_per_offset_path(dim):
+    """Past the single-pass limit the natural path is per offset."""
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(0.0, 30.0, size=(2000, dim))
+    index = CellIndex(pts, 2.0, origin=np.zeros(dim))
+    qpts = rng.uniform(-1.0, 31.0, size=(cells_mod._SMALL_QUERY_LIMIT, dim))
+    for chunk in (3, 1 << 20):
+        got = index.query(qpts, 1.7, chunk=chunk)
+        want = reference_query(index, qpts, 1.7, chunk=chunk)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_query_builds_no_stencil(monkeypatch):
+    index = CellIndex(np.random.default_rng(0).uniform(0, 9, (50, 2)), 1.0)
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("query rebuilt the offset stencil")
+
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    q_idx, _, _ = index.query(index.points[:4], 1.0)
+    assert q_idx.size >= 4
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0, -1e-300])
+def test_query_rejects_nan_or_negative_radius(radius):
+    index = CellIndex(np.zeros((3, 2)), 1.0)
+    with pytest.raises(GeometryError, match="non-negative"):
+        index.query(np.zeros((1, 2)), radius)
+
+
+@pytest.mark.parametrize("chunk", [0, -4, 2.5, True])
+def test_query_rejects_bad_chunk(chunk):
+    index = CellIndex(np.zeros((3, 2)), 1.0)
+    with pytest.raises(GeometryError, match="chunk"):
+        index.query(np.zeros((1, 2)), 0.5, chunk=chunk)
 
 
 def reference_far_field_sums(index, query_cells, radius, alpha, chunk=512):
