@@ -4,8 +4,11 @@ Kernels: the vectorized triple predicate, the root-solving metricity
 kernel at n = 60 and n = 300 (the headline speedup of the vectorized
 rewrite — the seed bisection took ~4.4 s at n = 300), plus varphi.  The
 ``scale`` benches (selected by ``-k scale``; CI uploads their json as the
-``BENCH_scale`` artifact) time the tiered float32-screen scan at n = 2000
-on both a geometric space and the ``dense_urban`` registry scenario.
+``BENCH_scale`` artifact) time the pruned scan: at n = 2000 on a
+geometric space (every middle node falls back to the dense float32
+screen) and on the ``dense_urban`` registry scenario, and at n = 1600 on
+the measured space that ``perfbench``'s ``plan_measured_m400`` plans on
+(nearly every middle node takes the sorted-neighbour candidate gather).
 Experiment targets regenerate the E1 and E10 tables.
 """
 
@@ -22,7 +25,7 @@ from repro.core.metricity import (
     satisfies_metricity,
     varphi,
 )
-from repro.scenarios import build_scenario
+from repro.scenarios import build_dynamic_scenario, build_scenario
 from repro.experiments.exp_metricity import (
     environment_metricity_table,
     geometric_metricity_table,
@@ -68,7 +71,8 @@ def test_kernel_metricity_n300(benchmark, n300_space):
 
 
 def test_kernel_metricity_n2000_scale(benchmark):
-    """The scaled tier: tiered float32 screen at n = 2000 (one pass)."""
+    """Geometric n = 2000: collinear near-ties keep every middle node on
+    the dense float32 screen (one pass)."""
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 40, size=(2000, 2))
     space = DecaySpace.from_points(pts, 3.0)
@@ -84,6 +88,19 @@ def test_kernel_metricity_dense_urban_n2000_scale(benchmark):
     assert z > 3.2  # NLOS corners push zeta above alpha
     benchmark.extra_info["nodes"] = links.space.n
     benchmark.extra_info["zeta"] = round(z, 3)
+
+
+def test_kernel_metricity_asymmetric_measured_n1600_scale(benchmark):
+    """The measured space of ``plan_measured_m400`` (scenario seed 1000):
+    n = 1600 nodes, no geometry, zeta about 10.7."""
+    scn = build_dynamic_scenario(
+        "poisson_churn", n_links=400, seed=1000, horizon=6000,
+        churn_rate=0.5, substrate="asymmetric_measured",
+    )
+    z = once(benchmark, metricity, scn.space)
+    assert z == pytest.approx(10.727967707455361, abs=1e-9)
+    benchmark.extra_info["nodes"] = scn.space.n
+    benchmark.extra_info["zeta"] = repr(z)
 
 
 def test_kernel_metricity_bisection_reference_n60(benchmark, big_space):

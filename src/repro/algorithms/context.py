@@ -56,7 +56,7 @@ from repro.core.affectance_sparse import (
     build_sparse_link_distances,
 )
 from repro.core.decay import DecaySpace
-from repro.core.links import Link, LinkSet
+from repro.core.links import Link, LinkSet, _coerce_links
 from repro.core.power import uniform_power
 from repro.core.separation import link_distance_matrix
 from repro.errors import InfeasibleLinkError, LinkError, PowerError
@@ -1037,10 +1037,7 @@ class DynamicContext:
         self._beta = float(beta)
         self._zeta_arg = zeta
         self._zeta: float | None = None
-        pairs = [
-            l if isinstance(l, Link) else Link(int(l[0]), int(l[1]))
-            for l in links
-        ]
+        pairs = _coerce_links(links)
         cap = max(
             self._MIN_CAPACITY,
             len(pairs),
@@ -1406,10 +1403,7 @@ class DynamicContext:
         mutates, so a bad arrival in the middle of a batch leaves the
         context untouched.
         """
-        pairs = [
-            l if isinstance(l, Link) else Link(int(l[0]), int(l[1]))
-            for l in links
-        ]
+        pairs = _coerce_links(links)
         k = len(pairs)
         if k == 0:
             return []

@@ -33,6 +33,14 @@ class Link:
     receiver: int
 
     def __post_init__(self) -> None:
+        if type(self.sender) is not int or type(self.receiver) is not int:
+            # Python and numpy integers pass (stored as int); bools, floats
+            # and anything else are refused rather than truncated.
+            for end in (self.sender, self.receiver):
+                if isinstance(end, bool) or not isinstance(end, (int, np.integer)):
+                    raise LinkError(f"link endpoints must be integers, got {end!r}")
+            object.__setattr__(self, "sender", int(self.sender))
+            object.__setattr__(self, "receiver", int(self.receiver))
         if self.sender == self.receiver:
             raise LinkError(
                 f"link sender and receiver must differ, got {self.sender}"
@@ -56,7 +64,7 @@ def _coerce_links(links: Iterable[Link | tuple[int, int]]) -> tuple[Link, ...]:
             out.append(item)
         else:
             s, r = item
-            out.append(Link(int(s), int(r)))
+            out.append(Link(s, r))
     return tuple(out)
 
 

@@ -360,6 +360,28 @@ class TestDynamicContextMechanics:
             dyn.remove_links(np.array([], dtype=float))  # empty: a no-op
             assert dyn.active_slots.tolist() == [0]
 
+    def test_non_integer_endpoints_rejected(self):
+        """Arrival endpoints follow the slot-id rule: Python and numpy
+        integers pass, floats and bools raise ``LinkError`` before
+        anything changes (a batch is atomic), on both backends."""
+        links = build_scenario("planar_uniform", n_links=4, seed=4)
+        pairs = [(l.sender, l.receiver) for l in links]
+        good = (pairs[0][0], pairs[1][1])
+        for backend in ("dense", "sparse"):
+            dyn = DynamicContext(links.space, pairs, backend=backend)
+            m, act = dyn.m, dyn.active_slots.copy()
+            ins = dyn.ledger_in_sums.copy()
+            for batch in ([(0.9, 5.7)], [(True, 2)], [good, (1.0, 2)]):
+                with pytest.raises(LinkError, match="integers"):
+                    dyn.add_links(batch)
+            with pytest.raises(LinkError, match="integers"):
+                DynamicContext(links.space, [(0.9, 5.7)], backend=backend)
+            assert dyn.m == m
+            assert np.array_equal(dyn.active_slots, act)
+            assert np.array_equal(dyn.ledger_in_sums, ins)
+            slots = dyn.add_links([(np.int64(good[0]), np.int32(good[1]))])
+            assert (dyn.senders[slots[0]], dyn.receivers[slots[0]]) == good
+
     def test_noise_infeasible_arrival_rejected(self):
         links = build_scenario("planar_uniform", n_links=4, seed=5)
         pairs = [(l.sender, l.receiver) for l in links]

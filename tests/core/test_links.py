@@ -44,6 +44,19 @@ class TestLink:
         assert len({Link(0, 1), Link(0, 1), Link(1, 0)}) == 2
         assert Link(0, 1) < Link(0, 2) < Link(1, 0)
 
+    @pytest.mark.parametrize(
+        "ends",
+        [(0.9, 5.7), (True, 2), (0, False), (1.0, 2), (np.float64(1.0), 2), ("1", 2)],
+    )
+    def test_rejects_non_integer_endpoints(self, ends):
+        with pytest.raises(LinkError, match="integers"):
+            Link(*ends)
+
+    def test_numpy_integers_become_python_ints(self):
+        link = Link(np.int64(1), np.int32(3))
+        assert link == Link(1, 3)
+        assert type(link.sender) is int and type(link.receiver) is int
+
 
 class TestLinkSet:
     def test_construction_from_tuples(self, space):
@@ -65,6 +78,13 @@ class TestLinkSet:
         links = LinkSet(space, [(0, 1), (2, 3)])
         assert list(links.lengths) == [2.0, 4.0]
         assert links.length(1) == 4.0
+
+    def test_rejects_non_integer_endpoints(self, space):
+        with pytest.raises(LinkError, match="integers"):
+            LinkSet(space, [(0.9, 2.7)])
+        with pytest.raises(LinkError, match="integers"):
+            LinkSet(space, [(0, 1), (True, 2)])
+        assert LinkSet(space, [(np.int64(0), np.int64(2))]).links == (Link(0, 2),)
 
     def test_rejects_empty(self, space):
         with pytest.raises(LinkError, match="at least one"):

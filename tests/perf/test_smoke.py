@@ -9,7 +9,8 @@ Two tiers of budgets:
 
 * the PR-1 floors (n=300 metricity, m=150 scheduling; seed implementation
   took ~4 s each) are kept as non-regression guards;
-* the scaled tier (n=2000 metricity via the tiered float32-screen scan,
+* the scaled tier (n=2000 metricity via the pruned scan, whose
+  geometric middle nodes all take the dense float32-screen fallback,
   m=500 end-to-end scheduling on the ``dense_urban`` scenario — 500
   peel rounds through the incremental ledger) pins the order-of-magnitude
   jump of the tiered/incremental kernels.  Every fast path exercised here
@@ -93,7 +94,8 @@ def test_metricity_n300_under_budget():
 
 
 def test_metricity_n2000_under_budget():
-    """The scaled tier: a 2000-node geometric space through the tiered scan."""
+    """The scaled tier: a 2000-node geometric space through the pruned scan
+    (every middle node takes its dense float32 fallback)."""
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 40, size=(2000, 2))
     space = DecaySpace.from_points(pts, 3.0)
