@@ -2,8 +2,8 @@
 
 Not a pytest benchmark — a standalone ``cProfile`` driver for the
 Python-level `_place`/ledger probe loop that dominates sparse-backend
-scheduling once the pattern build stops being the bottleneck (the
-ROADMAP's pre-sharding step).  Run it directly:
+scheduling once the pattern build stops being the bottleneck.  Run it
+directly:
 
     PYTHONPATH=src python benchmarks/profile_place.py [m] [horizon]
     PYTHONPATH=src python benchmarks/profile_place.py --events [m] [n_events]
@@ -23,19 +23,19 @@ under ``cProfile`` and prints the top entries by cumulative and by
 internal time, restricted to the repair/context/sparse modules so the
 scheduler's own overhead is legible next to the numpy kernels.
 
-The finding this file pins (and the fix that landed with it): the worst
-Python-overhead entry was ``OnlineRepairScheduler._first_fit`` — the
-from-scratch anchor held slot members as growing Python *lists*, so
+The finding this file pins (and the fixes that landed with it): the
+worst Python-overhead entry was ``OnlineRepairScheduler._first_fit`` —
+the from-scratch anchor held slot members as growing Python *lists*, so
 every probe's ledger gather (``in_aff[slot] + av[slot]``) re-converted
 a list of up to thousands of ints into a fresh index array.  At m=10^4
 that one frame cost 3.1 s of a 5.5 s run (~60% of wall time, ~100x
-that at m=10^5 where the anchor is the whole story); the members now
-live in amortized-doubling numpy buffers, making each probe a pure
-array gather.  That loop is now the package's only first-fit loop
-(``repro.algorithms.context._first_fit_slots``): static first fit on
-both backends and the shard merge's leftover pass run it too, so the
-buffer fix also covers the static sparse path, which used to rebuild
-each slot's member array with ``np.insert`` per admission.  The
+that at m=10^5 where the anchor is the whole story).  The loop is now
+the package's only first-fit loop
+(``repro.algorithms.context._first_fit_slots``), serving static first
+fit on both backends and the anchor, and a probe no longer gathers over
+the slot at all: a slot-label array picks the members inside the
+link's row support, so a sparse probe is O(degree) (the m=10^5 anchor
+went 41-48 s → ~2 s).  The
 repeated ``np.sort(np.fromiter(set))`` conversion in ``_member_array``
 (the per-probe allocation the incremental path pays) was caught by the
 same profile and is now cached per slot.  Re-run this script to verify

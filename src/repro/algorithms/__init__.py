@@ -49,13 +49,6 @@ from repro.algorithms.scheduling import (
     schedule_first_fit,
     schedule_repeated_capacity,
 )
-from repro.algorithms.sharding import (
-    ShardLayout,
-    ShardedContext,
-    ShardedDynamicContext,
-    ShardedRepairScheduler,
-    build_shard_layout,
-)
 
 __all__ = [
     "AggregationResult",
@@ -68,11 +61,6 @@ __all__ = [
     "RepairStats",
     "Schedule",
     "SchedulingContext",
-    "ShardLayout",
-    "ShardedContext",
-    "ShardedDynamicContext",
-    "ShardedRepairScheduler",
-    "build_shard_layout",
     "affectance_conflict_graph",
     "amicable_subset",
     "capacity_bounded_growth",

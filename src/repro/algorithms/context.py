@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,12 +51,11 @@ from repro.core.affectance_sparse import (
     SparseAffectance,
     SparseLinkDistances,
     _SparseView,
-    add_row_to,
     build_sparse_affectance,
     build_sparse_link_distances,
 )
 from repro.core.decay import DecaySpace
-from repro.core.links import Link, LinkSet, _coerce_links
+from repro.core.links import Link, LinkSet, _checked_zeta, _coerce_links
 from repro.core.power import uniform_power
 from repro.core.separation import link_distance_matrix
 from repro.errors import InfeasibleLinkError, LinkError, PowerError
@@ -172,80 +171,62 @@ def slot_admission_sums(
     return block.sum(axis=0) + block.sum(axis=1)
 
 
-def _first_fit_slots(
-    a,
-    order: Iterable[int],
-    *,
-    seeds: Sequence[np.ndarray] = (),
-    admits: Callable[[int, np.ndarray], bool] | None = None,
-) -> list[np.ndarray]:
+def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
     """First fit over ``order``: the one slot-placement loop of the package.
 
     Each link joins the earliest slot where it and every member keep
     in-affectance at most 1 under the raw affectance ``a`` (dense array
-    or sparse view), and ``admits(v, members)`` — an extra admission
-    rule, checked last — holds; otherwise it opens a new slot.  Static
-    first fit, the repair anchor and the shard merge's leftover pass all
-    run here, so they compare the same floats by construction.
+    or sparse view); otherwise it opens a new slot.  Static first fit
+    and the repair anchor both run here, so they compare the same floats
+    by construction.
 
-    ``seeds`` are pre-certified slots probed before any opened one.  A
-    seed's ledger is built on its first probe by sequential row adds in
-    member order; an opened slot's ledger starts as the opener's row.
-
-    Slot members live in amortized-doubling numpy buffers, so each
-    probe's ledger gather ``in_aff[members] + av[members]`` is a pure
-    array fancy-index (``benchmarks/profile_place.py`` found the list
-    re-conversion it replaced at ~60% of a serial m=10^4 run).  A sparse
-    row is materialized into one reused scratch vector (zero the previous
-    row's support, scatter the new one) instead of a fresh O(m) dense
-    row per link; untouched entries are the same +0.0, so every
-    comparison and ledger update equals the dense-row one bit for bit.
+    Membership is one ``label`` array (the slot of each placed link, -1
+    before placement), and each slot keeps a ledger ``in_aff`` of the
+    in-affectance its members put on every link.  A probe of slot ``t``
+    checks ``in_aff[v] <= 1`` and then ``in_aff[u] + a[v, u] <= 1`` only
+    for the members ``u`` in the support of ``v``'s stored row: every
+    other member gains an exact ``+0.0`` and already carries load at
+    most 1 (it passed the same test when it joined and at every later
+    admission), so skipping it changes no comparison.  A sparse probe
+    therefore costs O(degree) instead of O(slot size), and the ledger
+    update scatters over the same support, float for float what a dense
+    zero-padded row would add.  A dense row's support is the whole row,
+    so a dense probe is one masked elementwise pass over all links.
 
     Returns each slot's members in admission order.
     """
+    n = a.shape[0]
     dense = isinstance(a, np.ndarray)
-    bufs = [np.array(s, dtype=np.int64) for s in seeds]
-    sizes = [b.size for b in bufs]
-    sums: list[np.ndarray | None] = [None] * len(bufs)
-    scratch = None if dense else np.zeros(a.shape[0])
-    prev_idx: np.ndarray | None = None
+    label = np.full(n, -1, dtype=np.int64)
+    slots: list[list[int]] = []
+    ledgers: list[np.ndarray] = []
     for v in order:
         v = int(v)
-        if dense:
-            av = a[v]
+        if dense:  # the support is the whole row
+            idx, val, lab = slice(None), a[v], label
         else:
-            if prev_idx is not None:
-                scratch[prev_idx] = 0.0
-            prev_idx, rval = a.row(v)
-            scratch[prev_idx] = rval
-            av = scratch
-        for t in range(len(bufs)):
-            in_aff = sums[t]
-            if in_aff is None:
-                in_aff = sums[t] = np.zeros(a.shape[0])
-                for u in bufs[t][: sizes[t]]:
-                    add_row_to(in_aff, a, int(u))
+            idx, val = a.row(v)
+            lab = label[idx]
+        for t, in_aff in enumerate(ledgers):
             if in_aff[v] > 1.0:
                 continue
-            mem = bufs[t][: sizes[t]]
-            if np.all(in_aff[mem] + av[mem] <= 1.0) and (
-                admits is None or admits(v, mem)
-            ):
-                if sizes[t] == bufs[t].size:
-                    grown = np.empty(max(4, 2 * sizes[t]), dtype=np.int64)
-                    grown[: sizes[t]] = mem
-                    bufs[t] = grown
-                bufs[t][sizes[t]] = v
-                sizes[t] += 1
-                in_aff += av
+            if dense:
+                fits = np.all((in_aff + val <= 1.0) | (lab != t))
+            else:
+                hit = lab == t
+                fits = np.all(in_aff[idx[hit]] + val[hit] <= 1.0)
+            if fits:
+                in_aff[idx] += val
                 break
         else:
-            buf = np.empty(4, dtype=np.int64)
-            buf[0] = v
-            bufs.append(buf)
-            sizes.append(1)
-            sums.append(av.copy())
-    return [bufs[t][: sizes[t]] for t in range(len(bufs))]
+            t = len(slots)
+            slots.append([])
+            in_aff = np.zeros(n)
+            in_aff[idx] = val
+            ledgers.append(in_aff)
+        slots[t].append(v)
+        label[v] = t
+    return slots
 
 
 @dataclass(frozen=True)
@@ -411,6 +392,7 @@ class SchedulingContext:
         eps: float = 1e-2,
         radius: float | None = None,
     ) -> None:
+        zeta = _checked_zeta(zeta)
         self._links = links
         self._powers = (
             uniform_power(links) if powers is None else np.asarray(powers, dtype=float)
@@ -717,10 +699,9 @@ class SchedulingContext:
         Links are processed shortest-first (or in the given ``order``,
         which must be a permutation of all link indices) and placed in the
         earliest slot that stays feasible with them added, by the one
-        first-fit loop (:func:`_first_fit_slots`) the repair anchor and
-        the shard merge also run.  Unstored sparse pairs contribute an
-        exact 0.0, so on a complete pattern both backends give the same
-        slots.
+        first-fit loop (:func:`_first_fit_slots`) the repair anchor also
+        runs.  Unstored sparse pairs contribute an exact 0.0, so on a
+        complete pattern both backends give the same slots.
 
         ``active`` restricts scheduling to a link-subset view: only the
         given links are placed, in the global precedence order restricted
@@ -738,7 +719,7 @@ class SchedulingContext:
         else:
             sequence = _validated_order(order, self.m)
         slots = _first_fit_slots(self.raw_affectance, sequence)
-        return tuple(tuple(sorted(s.tolist())) for s in slots)
+        return tuple(tuple(sorted(s)) for s in slots)
 
     def repeated_capacity(
         self,
@@ -1028,8 +1009,7 @@ class DynamicContext:
         eps: float = 1e-2,
         radius: float | None = None,
     ) -> None:
-        if zeta is not None and zeta <= 0:
-            raise LinkError(f"zeta must be positive, got {zeta}")
+        zeta = _checked_zeta(zeta)
         self._backend = backend
         self._eps, self._radius = _checked_backend(backend, space, eps, radius)
         self._space = space
@@ -1535,9 +1515,8 @@ class DynamicContext:
         return, and the ledgers absorb the entries in the same order.
         """
         if self._node_index is None:
-            # One instance per (geometry, cell size) across all consumers:
-            # the sparse pattern maintenance here and the shard partition
-            # share it through the geometry-level cache.
+            # One instance per (geometry, cell size) across all contexts
+            # over the geometry, through the geometry-level cache.
             self._node_index = self._space.geometry.node_index(self._radius)
         nidx = self._node_index
         pts = nidx.points

@@ -176,16 +176,6 @@ class OnlineRepairScheduler:
         Per-*event* ceiling on cascade evictions across all arrivals of
         the event (``None``: only the per-arrival ``cascade`` budget
         applies).
-    universe:
-        Optional link-subset view: an iterable of context slots this
-        scheduler is responsible for (``None``: the full link universe,
-        the historical behaviour).  With a universe installed, anchors
-        and rebuilds schedule only universe links and ``apply`` ignores
-        arrivals outside it — the restriction that lets one scheduler
-        instance per shard run unmodified over a shared context (see
-        :mod:`repro.algorithms.sharding`).  Membership is maintained via
-        :meth:`universe_add` / :meth:`universe_discard` as churn reuses
-        context slots.
     anchor:
         ``False`` skips the construction-time from-scratch anchor and
         installs an *empty* schedule — the checkpoint-restore path: the
@@ -207,7 +197,6 @@ class OnlineRepairScheduler:
         rebuild_every: int | None = None,
         max_slots: int | None = None,
         max_evictions: int | None = None,
-        universe: Sequence[int] | None = None,
         anchor: bool = True,
     ) -> None:
         if cascade < 0:
@@ -256,9 +245,6 @@ class OnlineRepairScheduler:
         #: scans gather against it, so rebuilding it per probe would pay
         #: a set conversion per slot visited (profiled hotspot).
         self._member_cache: list[np.ndarray | None] = []
-        self._universe: set[int] | None = (
-            None if universe is None else {int(s) for s in universe}
-        )
         if anchor:
             self._install(self._from_scratch())
             self.slot_trajectory.append(self.slot_count)
@@ -334,35 +320,6 @@ class OnlineRepairScheduler:
         self._priorities = weights
 
     # ------------------------------------------------------------------
-    # Universe restriction (per-shard link-subset view)
-    # ------------------------------------------------------------------
-    @property
-    def universe(self) -> frozenset[int] | None:
-        """The installed link-subset view (None: all links)."""
-        return None if self._universe is None else frozenset(self._universe)
-
-    def universe_add(self, s: int) -> None:
-        """Admit context slot ``s`` into this scheduler's universe."""
-        if self._universe is not None:
-            self._universe.add(int(s))
-
-    def universe_discard(self, s: int) -> None:
-        """Drop context slot ``s`` from this scheduler's universe."""
-        if self._universe is not None:
-            self._universe.discard(int(s))
-
-    def _universe_filter(self, slots: np.ndarray) -> np.ndarray:
-        """``slots`` restricted to the universe (identity when None)."""
-        if self._universe is None or not slots.size:
-            return slots
-        keep = np.fromiter(
-            (int(s) in self._universe for s in slots),
-            dtype=bool,
-            count=slots.size,
-        )
-        return slots[keep]
-
-    # ------------------------------------------------------------------
     # Checkpoint state (the repro.io scheduler-state format's payload)
     # ------------------------------------------------------------------
     #: Tag stored with exported state so a checkpoint written by one
@@ -387,9 +344,8 @@ class OnlineRepairScheduler:
         incrementally accumulated values and flip a borderline
         admission), the deferred queue in retry order, the stats
         counters (rebuild and compaction anchors fire on
-        ``stats.events % k``), the slot trajectory, and the universe
-        restriction when installed.  Member caches are derived data and
-        are rebuilt on demand.
+        ``stats.events % k``) and the slot trajectory.  Member caches are
+        derived data and are rebuilt on demand.
         """
         members = [self._member_array(t) for t in range(len(self._members))]
         offsets = np.zeros(len(members) + 1, dtype=np.int64)
@@ -425,13 +381,6 @@ class OnlineRepairScheduler:
             "repair_trajectory": np.array(
                 self.slot_trajectory, dtype=np.int64
             ),
-            "repair_has_universe": np.array(
-                [self._universe is not None], dtype=bool
-            ),
-            "repair_universe": np.array(
-                sorted(self._universe) if self._universe else [],
-                dtype=np.int64,
-            ),
         }
         return state
 
@@ -453,18 +402,13 @@ class OnlineRepairScheduler:
                 f"checkpoint holds a {kind!r} scheduler state; this is "
                 f"a {self._STATE_KIND!r} scheduler"
             )
-        had_universe = bool(np.asarray(state["repair_has_universe"])[0])
-        if had_universe != (self._universe is not None):
+        # Archives before format 4 carry a link-subset flag; only the
+        # removed per-cell partitioned repairers ever set it.
+        if bool(np.asarray(state.get("repair_has_universe", [False]))[0]):
             raise LinkError(
-                "checkpoint universe restriction does not match this "
-                "scheduler's wiring (one side is a link-subset view, "
-                "the other is not)"
+                "checkpoint holds a link-subset repairer state; per-cell "
+                "partitioned repair has been removed"
             )
-        if had_universe:
-            # Universe membership migrates as churn reuses context
-            # slots, so the exported view — not the constructor's
-            # initial interior — is the live one.
-            self._universe = {int(v) for v in state["repair_universe"]}
         offsets = np.asarray(state["repair_offsets"], dtype=np.int64)
         flat = np.asarray(state["repair_members"], dtype=np.int64)
         deferred = [int(v) for v in state["repair_deferred"]]
@@ -489,14 +433,6 @@ class OnlineRepairScheduler:
             raise LinkError(
                 "checkpointed schedule assigns some link to two slots"
             )
-        if self._universe is not None:
-            missing = [v for v in slot_of if v not in self._universe]
-            missing += [v for v in deferred if v not in self._universe]
-            if missing:
-                raise LinkError(
-                    "checkpointed schedule holds links outside this "
-                    f"scheduler's universe: {sorted(missing)[:8]}"
-                )
         stale = np.asarray(state["repair_ledger_stale"], dtype=bool)
         ledgers = np.asarray(state["repair_ledgers"], dtype=float)
         if stale.shape != (len(slots),):
@@ -580,7 +516,6 @@ class OnlineRepairScheduler:
             if active[s]
             and s not in self._slot_of
             and s not in seen
-            and (self._universe is None or s in self._universe)
         ]
         # Retries re-enter the queue on failure without re-counting the
         # deferral episode (see ``stats.deferred``); the marker set only
@@ -952,14 +887,12 @@ class OnlineRepairScheduler:
         Runs entirely off the maintained padded matrices (no affectance
         build) through the same loop and order (length, then slot index)
         as :meth:`SchedulingContext.first_fit`, so on a quiescent context
-        the result matches the static scheduler slot for slot.  When a
-        universe restriction is installed (per-shard repair, the
-        ``universe=`` argument) only universe links are scheduled.
+        the result matches the static scheduler slot for slot.
         """
         dyn = self.dyn
-        act = self._universe_filter(dyn.active_slots)
+        act = dyn.active_slots
         order = act[np.lexsort((act, dyn.lengths[act]))]
-        return [s.tolist() for s in _first_fit_slots(dyn.raw_affectance, order)]
+        return _first_fit_slots(dyn.raw_affectance, order)
 
     def _install(self, slots: list[list[int]]) -> None:
         self._members = [set(s) for s in slots]
@@ -1027,7 +960,6 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         compaction_probes: int | None = None,
         max_slots: int | None = None,
         max_evictions: int | None = None,
-        universe: Sequence[int] | None = None,
         anchor: bool = True,
     ) -> None:
         if admission not in ("bounded_growth", "general", "adaptive"):
@@ -1061,7 +993,6 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
             rebuild_every=rebuild_every,
             max_slots=max_slots,
             max_evictions=max_evictions,
-            universe=universe,
             anchor=anchor,
         )
 
@@ -1081,24 +1012,7 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         act = dyn.active_slots
         if act.size == 0:
             return []
-        ctx = dyn.freeze()
-        if self._universe is None:
-            slots = ctx.repeated_capacity(admission=self.admission)
-        else:
-            # The frozen context indexes the active links in ``act``
-            # order; restrict the peel to the universe's positions.
-            own = np.flatnonzero(
-                np.fromiter(
-                    (int(s) in self._universe for s in act),
-                    dtype=bool,
-                    count=act.size,
-                )
-            )
-            if not own.size:
-                return []
-            slots = ctx.repeated_capacity(
-                admission=self.admission, active=own
-            )
+        slots = dyn.freeze().repeated_capacity(admission=self.admission)
         return [[int(act[i]) for i in slot] for slot in slots]
 
     def _admits(self, v: int, members: np.ndarray) -> bool:

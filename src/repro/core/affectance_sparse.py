@@ -386,8 +386,8 @@ class SparseAffectance:
         if self.tail_in.shape != (self.m,) or self.tail_out.shape != (self.m,):
             raise LinkError(f"tail bounds must have shape ({self.m},)")
         # Row-major sort — skipped when the triplets already arrive
-        # sorted (pattern slices preserve the parent's CSR order, so the
-        # check turns the per-shard slice lexsorts into O(nnz) scans).
+        # sorted (a saved pattern's triplets keep its CSR order, so the
+        # check turns the reload lexsort into an O(nnz) scan).
         if rows.size and not bool(
             np.all(
                 (rows[1:] > rows[:-1])

@@ -93,10 +93,10 @@ class SpaceGeometry:
     def node_index(self, cell_size: float) -> "object":
         """The node-level spatial cell index at ``cell_size``, cached.
 
-        The same index is consumed by several layers — the sparse
-        ``DynamicContext`` adjacency queries and the shard partition both
-        need a :class:`~repro.geometry.cells.CellIndex` over *all* nodes
-        at the certified interaction radius.  Building it is O(n log n);
+        Every sparse ``DynamicContext`` over this geometry (a live one
+        and its checkpoint restores alike) queries a
+        :class:`~repro.geometry.cells.CellIndex` over *all* nodes at the
+        certified interaction radius.  Building it is O(n log n);
         caching per cell size here means one build serves every consumer
         of this geometry (positions are immutable, so the index never
         goes stale).

@@ -57,6 +57,21 @@ class Link:
         yield self.receiver
 
 
+def _checked_zeta(zeta: float | None) -> float | None:
+    """A metricity override, validated: ``None`` or a finite positive float.
+
+    A NaN ``zeta`` would pass every separation test (each comparison
+    with NaN is false, so nothing is ever rejected), and an infinite one
+    collapses every ``1/zeta`` exponent; both are refused up front.
+    """
+    if zeta is None:
+        return None
+    z = float(zeta)
+    if not 0.0 < z < float("inf"):
+        raise LinkError(f"zeta must be positive and finite, got {zeta}")
+    return z
+
+
 def _coerce_links(links: Iterable[Link | tuple[int, int]]) -> tuple[Link, ...]:
     out: list[Link] = []
     for item in links:
@@ -203,9 +218,7 @@ class LinkSet:
 
     def _resolve_zeta(self, zeta: float | None) -> float:
         if zeta is not None:
-            if zeta <= 0:
-                raise LinkError(f"zeta must be positive, got {zeta}")
-            return float(zeta)
+            return _checked_zeta(zeta)
         z = self._space.metricity()
         return z if z > 0 else 1.0
 

@@ -369,6 +369,8 @@ def _log_noise_floor(logf: np.ndarray) -> float:
 
 
 #: ``(best, mode, screen_q, target, quasi64, reach)``; see :class:`_ScreenState`.
+#: In the float32 tier ``screen_q`` and ``target`` are ``None`` until
+#: :meth:`_ScreenState.dense_snap` builds them.
 _Snapshot = tuple[
     float, str, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
 ]
@@ -390,7 +392,10 @@ class _ScreenState:
     improvements never lose a violator whose root exceeds the final
     incumbent by more than the solver tolerance.  The snapshot's last
     entry is ``reach[x] = max_y q[x, y]``, the row maxima of ``quasi64``
-    that bound the candidate gather (``None`` in the log tier).
+    that bound the candidate gather (``None`` in the log tier).  The
+    float32 tier's ``screen_q``/``target`` copies are left ``None`` and
+    made by :meth:`dense_snap` only when a block has middle nodes for the
+    dense screen: measured spaces prune every node and never need them.
     Repeated-node triples need no special casing: the zero (resp.
     ``-inf``) diagonal makes them non-violating under every tier.
 
@@ -403,7 +408,7 @@ class _ScreenState:
 
     __slots__ = (
         "f", "logf", "fmax", "span", "log_noise", "order", "ratio_sorted",
-        "snap", "_lock",
+        "snap", "_lock", "_dense",
     )
 
     def __init__(
@@ -424,6 +429,9 @@ class _ScreenState:
         self.ratio_sorted = np.take_along_axis(ratios, order, axis=1)
         self.order = order.astype(np.int32)
         self._lock = threading.Lock()
+        #: ``(snapshot, the same snapshot with float32 copies)`` of the
+        #: last :meth:`dense_snap` build.
+        self._dense: tuple[_Snapshot, _Snapshot] | None = None
         self.snap = self._build(best)
 
     @property
@@ -439,9 +447,29 @@ class _ScreenState:
         reach = quasi64.max(axis=1)
         if ratio > _F32_SPAN_LIMIT:
             return best, "f64", quasi64, quasi64, quasi64, reach
-        screen = quasi64.astype(np.float32)
-        target = (quasi64 * (1.0 + _F32_SCREEN_MARGIN)).astype(np.float32)
-        return best, "f32", screen, target, quasi64, reach
+        return best, "f32", None, None, quasi64, reach
+
+    def dense_snap(self, snap: _Snapshot) -> _Snapshot:
+        """``snap`` with the arrays the dense screen reads.
+
+        The float32 copies are a pure function of ``quasi64``, built once
+        per snapshot under the lock (so concurrent blocks share one
+        build); a block still holding an older snapshot rebuilds its
+        own, which only costs time.
+        """
+        if snap[2] is not None:
+            return snap
+        with self._lock:
+            if self._dense is None or self._dense[0] is not snap:
+                best, mode, _, _, quasi64, reach = snap
+                screen = quasi64.astype(np.float32)
+                target = (quasi64 * (1.0 + _F32_SCREEN_MARGIN)).astype(
+                    np.float32
+                )
+                self._dense = (
+                    snap, (best, mode, screen, target, quasi64, reach)
+                )
+            return self._dense[1]
 
     def improve(self, top: float) -> None:
         with self._lock:
@@ -628,7 +656,7 @@ def _scan_block(
     snap = state.snap
     flagged, dense_zs = _candidate_block(zs, snap, state)
     if dense_zs.size:
-        screened = _screen_block(dense_zs, snap, buffers)
+        screened = _screen_block(dense_zs, state.dense_snap(snap), buffers)
         if flagged is None:
             flagged = screened
         elif screened is not None:

@@ -41,7 +41,6 @@ from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.algorithms.sharding import ShardedContext, ShardedRepairScheduler
 from repro.core.affectance import feasible_within
 from repro.core.affectance_sparse import add_row_to, member_block
 from repro.core.links import LinkSet
@@ -191,7 +190,6 @@ def run_queue_simulation(
     scheduler: str = "policy",
     cascade: int = 1,
     compaction_every: int | None = None,
-    shards: int | ShardedContext | None = None,
 ) -> StabilityResult:
     """Simulate Bernoulli arrivals against a scheduling policy.
 
@@ -239,17 +237,6 @@ def run_queue_simulation(
         after every event: the from-scratch baseline for
         ``"capacity_repair"``.
 
-    ``shards`` switches the repair schedulers to the sharded
-    coordinator (:class:`~repro.algorithms.sharding.ShardedRepairScheduler`):
-    an ``int`` partitions the context's links into that many cell
-    shards, or a prebuilt
-    :class:`~repro.algorithms.sharding.ShardedContext` is adopted as-is
-    (its wrapped context becomes the simulation context).  Requires a
-    sparse-backend context and ``scheduler`` in ``"repair"`` /
-    ``"capacity_repair"`` — the rebuild baselines are single-context by
-    definition.  ``shards=1`` is byte-identical to the unsharded
-    scheduler.
-
     Scheduler runs report the final ``schedule_slots``, the
     ``repair_ratio`` against a from-scratch schedule of the same family,
     and the number of ``scheduler_rebuilds`` (plus ``scheduler_merges``
@@ -277,20 +264,6 @@ def run_queue_simulation(
         raise SimulationError(
             "compaction_every only applies to scheduler='capacity_repair'"
         )
-    if shards is not None and scheduler not in ("repair", "capacity_repair"):
-        raise SimulationError(
-            "shards= requires scheduler='repair' or 'capacity_repair': "
-            "the rebuild baselines and policy mode are single-context"
-        )
-    if shards is not None and not isinstance(shards, ShardedContext):
-        # Validate the count before any backend/context checks, so the
-        # caller sees the actual mistake rather than a downstream
-        # complaint about the context it would have been applied to.
-        if int(shards) < 1:
-            raise SimulationError(
-                f"shards must be >= 1 (or a prebuilt ShardedContext), "
-                f"got {shards}; omit shards= for the unsharded scheduler"
-            )
     if scheduler == "policy" and cascade != 1:
         raise SimulationError(
             "cascade= only applies to the scheduler-maintained modes "
@@ -311,32 +284,13 @@ def run_queue_simulation(
     powers = uniform_power(links, power)
     if context is not None:
         check_context(context, links, noise, beta, powers)
-
-    sharded_ctx: ShardedContext | None = None
-    if isinstance(shards, ShardedContext):
-        if context is not None and context is not shards.context:
-            raise SimulationError(
-                "the prebuilt ShardedContext wraps a different context "
-                "than the one passed via context="
-            )
-        sharded_ctx = shards
-        context = shards.context
-        check_context(context, links, noise, beta, powers)
     base = (
         context
         if context is not None
         else SchedulingContext(links, powers, noise=noise, beta=beta)
     )
-    if shards is not None and sharded_ctx is None:
-        if base.backend != "sparse":
-            raise SimulationError(
-                "shards= needs a sparse-backend context; pass "
-                "context=SchedulingContext(..., backend='sparse')"
-            )
-        sharded_ctx = ShardedContext(base, shards=int(shards))
     if churn is None and scheduler == "policy":
         dyn = None
-        sdyn = None
         driver = None
         a = base.raw_affectance
         act = np.arange(links.m)  # the active set never changes
@@ -345,34 +299,16 @@ def run_queue_simulation(
         # Churn mode (and every scheduler-maintained run): the
         # incremental context absorbs arrivals and departures in O(m)
         # per event; the loop never rebuilds a matrix.
-        if sharded_ctx is not None:
-            # Sharded mode: churn mutates the one shared dynamic
-            # context through the ownership-routing facade.
-            sdyn = sharded_ctx.dynamic()
-            dyn = sdyn.dyn
-            driven = sdyn
-        else:
-            sdyn = None
-            dyn = base.dynamic()
-            driven = dyn
+        dyn = base.dynamic()
         driver = (
-            ChurnDriver(driven, churn, power=power)
+            ChurnDriver(dyn, churn, power=power)
             if churn is not None
             else None
         )
         a = dyn.raw_affectance  # padded; grows only if capacity doubles
         act = dyn.active_slots
         queues = np.zeros(dyn.capacity)
-    if sdyn is not None:
-        repairer = ShardedRepairScheduler(
-            sdyn,
-            kind=(
-                "capacity" if scheduler == "capacity_repair" else "first_fit"
-            ),
-            cascade=cascade,
-            compaction_every=compaction_every,
-        )
-    elif scheduler in ("capacity_repair", "capacity_rebuild"):
+    if scheduler in ("capacity_repair", "capacity_rebuild"):
         repairer = CapacityRepairScheduler(
             dyn,
             cascade=cascade,

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 
-__all__ = ["CellIndex", "CellPartition"]
+__all__ = ["CellIndex"]
 
 # Query sets with at most this many stacked cell probes (points x 3^dim
 # neighbour offsets) take the batched single-pass path in
@@ -45,93 +45,6 @@ __all__ = ["CellIndex", "CellPartition"]
 # ragged candidate expansion never holds more than one offset's worth of
 # indices at a time (the bulk-build memory bound).
 _SMALL_QUERY_LIMIT = 1 << 12
-
-
-class CellPartition:
-    """A grouping of a :class:`CellIndex`'s occupied cells into shards.
-
-    Shards are runs of consecutive cells in the index's sorted key order
-    (lexicographic cell coordinates), cut greedily so each run carries
-    roughly ``target_weight`` total weight.  Because runs are contiguous
-    in key order, shard membership of *any* cell — occupied at partition
-    time or not — is resolved by the predecessor rule: a cell belongs to
-    the shard of the nearest occupied cell at or before it in key order
-    (the first shard when there is none).  That keeps routing total and
-    deterministic under churn, when points arrive in cells that were
-    empty when the partition was built.
-
-    Instances are value objects: equality compares the grid (origin and
-    cell size), the occupied-cell set and the shard assignment.
-    """
-
-    __slots__ = ("index", "shard_of_cell", "n_shards", "target_weight")
-
-    def __init__(
-        self,
-        index: "CellIndex",
-        shard_of_cell: np.ndarray,
-        target_weight: float,
-    ) -> None:
-        shard = np.asarray(shard_of_cell, dtype=np.int64)
-        if shard.shape != (index.n_cells,):
-            raise GeometryError(
-                f"shard assignment must cover the {index.n_cells} occupied "
-                f"cells, got shape {shard.shape}"
-            )
-        if shard.size and (
-            shard[0] != 0 or (np.diff(shard) < 0).any() or (np.diff(shard) > 1).any()
-        ):
-            raise GeometryError(
-                "shard ids must be a non-decreasing run 0..k-1 over cells "
-                "in key order"
-            )
-        shard = shard.copy()
-        shard.setflags(write=False)
-        self.index = index
-        self.shard_of_cell = shard
-        self.n_shards = int(shard[-1]) + 1 if shard.size else 1
-        self.target_weight = float(target_weight)
-
-    def shard_of_points(self, pts: np.ndarray) -> np.ndarray:
-        """Shard id of each point (predecessor rule for unoccupied cells)."""
-        p = np.ascontiguousarray(pts, dtype=float)
-        if p.ndim != 2 or p.shape[1] != self.index.dim:
-            raise GeometryError(
-                f"points must have shape (k, {self.index.dim})"
-            )
-        coords = self.index.cell_of(p)
-        return self.shard_of_cells(coords)
-
-    def shard_of_cells(self, coords: np.ndarray) -> np.ndarray:
-        """Shard id of each integer cell coordinate row."""
-        idx = self.index
-        c = np.clip(
-            np.asarray(coords, dtype=np.int64), -1, idx._dims[None, :]
-        )
-        keys = idx._keys_of(c)
-        pos = np.searchsorted(idx._uniq_keys, keys, side="right") - 1
-        return self.shard_of_cell[np.maximum(pos, 0)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CellPartition):
-            return NotImplemented
-        return (
-            self.index.h == other.index.h
-            and np.array_equal(self.index.origin, other.index.origin)
-            and np.array_equal(
-                self.index._uniq_coords, other.index._uniq_coords
-            )
-            and np.array_equal(self.shard_of_cell, other.shard_of_cell)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - unused, defined for eq
-        return hash((self.index.h, self.n_shards))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CellPartition(n_shards={self.n_shards}, "
-            f"n_cells={self.index.n_cells}, h={self.index.h})"
-        )
 
 
 class CellIndex:
@@ -206,11 +119,6 @@ class CellIndex:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def n_cells(self) -> int:
-        """Number of occupied cells."""
-        return self._uniq_keys.size
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Integer cell coordinates of each point."""
@@ -321,53 +229,6 @@ class CellIndex:
             np.concatenate(p_parts),
             np.concatenate(d_parts),
         )
-
-    # ------------------------------------------------------------------
-    def partition(
-        self,
-        target_weight: float,
-        weights: np.ndarray | None = None,
-    ) -> CellPartition:
-        """Group the occupied cells into shards of ~``target_weight``.
-
-        ``weights`` assigns a non-negative weight to every *indexed point*
-        (default 1, so a cell weighs its point count); cells are walked in
-        sorted key order and cut into a new shard whenever the running
-        weight reaches ``target_weight``.  The resulting shards are
-        contiguous key-order runs, which is what lets
-        :class:`CellPartition` route arbitrary cells deterministically.
-        """
-        if not target_weight > 0:
-            raise GeometryError(
-                f"target shard weight must be positive, got {target_weight}"
-            )
-        if weights is None:
-            cell_weights = self._sizes.astype(float)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (self.points.shape[0],):
-                raise GeometryError(
-                    f"weights must have shape ({self.points.shape[0]},), "
-                    f"got {w.shape}"
-                )
-            if (w < 0).any():
-                raise GeometryError("point weights must be non-negative")
-            # Aggregate per occupied cell, in the sorted key order.
-            cell_ids = np.repeat(
-                np.arange(self.n_cells), self._sizes
-            )
-            cell_weights = np.bincount(
-                cell_ids, weights=w[self._order], minlength=self.n_cells
-            )
-        shard = np.empty(self.n_cells, dtype=np.int64)
-        current, acc = 0, 0.0
-        for i in range(self.n_cells):
-            if acc >= target_weight:
-                current += 1
-                acc = 0.0
-            shard[i] = current
-            acc += cell_weights[i]
-        return CellPartition(self, shard, target_weight)
 
     # ------------------------------------------------------------------
     def far_field_sums(

@@ -34,8 +34,6 @@ __all__ = [
     "load_links",
     "save_sparse_affectance",
     "load_sparse_affectance",
-    "save_shard_layout",
-    "load_shard_layout",
     "save_scheduler_state",
     "load_scheduler_state",
 ]
@@ -43,9 +41,10 @@ __all__ = [
 #: Version 2 added the optional geometry arrays on space/link archives and
 #: the sparse-affectance archive kind.  Version 3 added the
 #: scheduler-state archive kind and the sidecar version cross-check
-#: (``expect_version=`` on the sidecar loaders).  Older archives load
-#: unchanged — the layouts are strict supersets.
-_FORMAT_VERSION = 3
+#: (``expect_version=`` on the sidecar loaders).  Version 4 stores the
+#: metricity a scheduler state was served under (``ctx_zeta``) and drops
+#: the repairer's link-subset keys.  Older archives load unchanged.
+_FORMAT_VERSION = 4
 
 
 def _npz_path(path: str | pathlib.Path) -> pathlib.Path:
@@ -262,151 +261,6 @@ def load_sparse_affectance(
         )
 
 
-def save_shard_layout(path: str | pathlib.Path, layout) -> None:
-    """Write a :class:`~repro.algorithms.sharding.ShardLayout` sidecar.
-
-    Stores everything the layout's guarantees rest on: the partition's
-    grid (index points, cell size, origin, per-cell shard ids, the
-    greedy target weight), the certified interaction radius the halos
-    were derived at, the per-link owners, and the interior/halo id
-    arrays (concatenated with offsets).  A layout is only meaningful
-    next to the link set and pattern it was built from, hence the
-    sidecar framing — the archive records ``m`` and the shard count so
-    the loader can cross-check instead of silently misrouting.
-    """
-    index = layout.partition.index
-    interior_off = np.cumsum([0] + [a.size for a in layout.interior])
-    halo_off = np.cumsum([0] + [a.size for a in layout.halo])
-    payload = {
-        "shard_points": index.points,
-        "shard_origin": index.origin,
-        "shard_of_cell": np.asarray(layout.partition.shard_of_cell),
-        "shard_params": np.array(
-            [index.h, layout.radius, layout.partition.target_weight]
-        ),
-        "shard_counts": np.array(
-            [layout.m, layout.n_shards], dtype=np.int64
-        ),
-        "shard_owner": layout.owner,
-        "shard_interior_offsets": interior_off.astype(np.int64),
-        "shard_interior": (
-            np.concatenate(layout.interior)
-            if layout.m
-            else np.empty(0, dtype=np.int64)
-        ),
-        "shard_halo_offsets": halo_off.astype(np.int64),
-        "shard_halo": np.concatenate(
-            [np.empty(0, dtype=np.int64), *layout.halo]
-        ),
-    }
-    _write_archive(path, payload, None)
-
-
-def load_shard_layout(
-    path: str | pathlib.Path, *, expect_version: int | None = None
-):
-    """Read a layout written by :func:`save_shard_layout` (re-validated).
-
-    Every stored certificate is cross-checked on load and a mismatch
-    raises :class:`~repro.errors.LinkError`: the partition grid must
-    have been cut at the certified interaction radius (a halo derived
-    at one radius is meaningless on a grid for another), the per-cell
-    shard ids must form the contiguous runs the predecessor rule
-    requires, the stored shard count must match the partition, and the
-    owner/interior arrays must agree.  A tampered archive fails loudly
-    instead of silently desynchronising the repair routing.  A layout
-    always rides as a sidecar; pass the main archive's version
-    (:func:`archive_format_version`) as ``expect_version`` to reject a
-    mixed-version pair.
-    """
-    from repro.algorithms.sharding import ShardLayout
-    from repro.errors import GeometryError, LinkError
-    from repro.geometry.cells import CellIndex, CellPartition
-
-    required = (
-        "shard_points",
-        "shard_origin",
-        "shard_of_cell",
-        "shard_params",
-        "shard_counts",
-        "shard_owner",
-        "shard_interior_offsets",
-        "shard_interior",
-        "shard_halo_offsets",
-        "shard_halo",
-    )
-    with np.load(_load_path(path), allow_pickle=False) as archive:
-        _checked_labels(archive, path, required, "shard-layout", expect_version)
-        cell_size, radius, target = archive["shard_params"]
-        if not np.isclose(float(cell_size), float(radius)):
-            raise LinkError(
-                f"{path}: partition cell size {float(cell_size)!r} does "
-                f"not match the stored certified interaction radius "
-                f"{float(radius)!r} — the halo certificate does not "
-                "cover this grid"
-            )
-        try:
-            index = CellIndex(
-                archive["shard_points"],
-                float(cell_size),
-                origin=archive["shard_origin"],
-            )
-            partition = CellPartition(
-                index, archive["shard_of_cell"], float(target)
-            )
-        except GeometryError as exc:
-            raise LinkError(f"{path}: invalid shard partition: {exc}") from exc
-        m, n_shards = (int(x) for x in archive["shard_counts"])
-        if partition.n_shards != n_shards:
-            raise LinkError(
-                f"{path}: stored certificate claims {n_shards} shards, "
-                f"the partition cuts {partition.n_shards}"
-            )
-        owner = np.asarray(archive["shard_owner"], dtype=np.int64)
-        if owner.shape != (m,):
-            raise LinkError(
-                f"{path}: owner array has shape {owner.shape}, "
-                f"expected ({m},)"
-            )
-        if m and (owner.min() < 0 or owner.max() >= n_shards):
-            raise LinkError(
-                f"{path}: link owners fall outside the {n_shards} shards"
-            )
-        interior_off = archive["shard_interior_offsets"]
-        halo_off = archive["shard_halo_offsets"]
-        if interior_off.shape != (n_shards + 1,) or halo_off.shape != (
-            n_shards + 1,
-        ):
-            raise LinkError(
-                f"{path}: offset arrays do not cover {n_shards} shards"
-            )
-        interior_all = np.asarray(archive["shard_interior"], dtype=np.int64)
-        halo_all = np.asarray(archive["shard_halo"], dtype=np.int64)
-        interior: list[np.ndarray] = []
-        halo: list[np.ndarray] = []
-        for k in range(n_shards):
-            ids = interior_all[interior_off[k] : interior_off[k + 1]]
-            if ids.size and not np.all(owner[ids] == k):
-                raise LinkError(
-                    f"{path}: interior links of shard {k} disagree with "
-                    "the stored owners"
-                )
-            interior.append(ids)
-            halo.append(halo_all[halo_off[k] : halo_off[k + 1]])
-        if sum(a.size for a in interior) != m:
-            raise LinkError(
-                f"{path}: interior arrays cover "
-                f"{sum(a.size for a in interior)} links, expected {m}"
-            )
-        return ShardLayout(
-            partition=partition,
-            radius=float(radius),
-            owner=owner,
-            interior=tuple(interior),
-            halo=tuple(halo),
-        )
-
-
 #: Keys the scheduler-state framing reserves for itself; an exported
 #: state payload may not shadow them.
 _STATE_RESERVED = frozenset({"format_version", "labels", "scheduler_kind"})
@@ -420,7 +274,7 @@ def save_scheduler_state(
     ``state`` is the flat array mapping produced by the ``export_state``
     hooks (repairer and/or driver payloads merged by the caller);
     ``kind`` tags what produced it (e.g. ``"first_fit"``,
-    ``"capacity"``, ``"sharded:capacity"``) so a restore into the wrong
+    ``"capacity"``) so a restore into the wrong
     scheduler shape fails before any array is interpreted.  The payload
     keys are stored verbatim — the archive is a dumb envelope; all
     semantic validation lives in the ``restore_state`` hooks.

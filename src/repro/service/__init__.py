@@ -4,8 +4,8 @@ The paper's dynamic-distributed setting is ultimately about links
 arriving and departing against a *live* schedule; this package hosts
 the repo's batch kernels as a long-running service.  The daemon
 (:class:`~repro.service.daemon.SchedulerDaemon`) owns a
-:class:`~repro.algorithms.context.DynamicContext` (optionally behind
-the sharded facade) with a live repair scheduler, ingests churn events
+:class:`~repro.algorithms.context.DynamicContext` with a live serial
+repair scheduler, ingests churn events
 from an asyncio queue, and answers admission/placement/stats queries
 against the maintained repair state — a thin shell over the importable
 exact kernels, never a reimplementation.  The load generator

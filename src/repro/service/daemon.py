@@ -41,25 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.context import DynamicContext, SchedulingContext
+from repro.algorithms.context import DynamicContext
 from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.algorithms.sharding import (
-    ShardedContext,
-    ShardedDynamicContext,
-    ShardedRepairScheduler,
-)
 from repro.dynamics import ChurnDriver, ChurnEvent, DynamicScenario
 from repro.errors import SimulationError
-from repro.io import (
-    archive_format_version,
-    load_scheduler_state,
-    load_shard_layout,
-    save_scheduler_state,
-    save_shard_layout,
-)
+from repro.io import load_scheduler_state, save_scheduler_state
 
 __all__ = ["DaemonConfig", "SchedulerDaemon", "build_daemon"]
 
@@ -71,13 +60,10 @@ _NONE = -1
 class DaemonConfig:
     """How a daemon wires its repair scheduler.
 
-    ``shards=0`` runs the serial repairer; any positive count routes
-    events through :class:`ShardedRepairScheduler` over a sharded
-    facade (sparse backend required).  ``batch`` > 1 turns on
-    deterministic micro-batching: the worker merges exactly that many
-    consecutive events into one context update + repair pass, which
-    amortises the per-call overhead of the vectorised kernels (the
-    main throughput lever at large ``m``).  Chunk boundaries depend
+    ``batch`` > 1 turns on deterministic micro-batching: the worker
+    merges exactly that many consecutive events into one context update
+    + repair pass, which amortises the per-call overhead of the
+    vectorised kernels (the main throughput lever at large ``m``).  Chunk boundaries depend
     only on the event stream — every ``batch``-th event, or earlier
     when a departure references an id that arrived within the open
     chunk — so a replay is reproducible and a checkpoint taken at a
@@ -89,7 +75,6 @@ class DaemonConfig:
     """
 
     kind: str = "first_fit"
-    shards: int = 0
     cascade: int = 1
     rebuild_every: int | None = None
     max_slots: int | None = None
@@ -118,20 +103,16 @@ class DaemonConfig:
                     "admission= only applies to kind='capacity'; "
                     "first-fit admission is the a_S(v) <= 1 rule"
                 )
-        if self.shards < 0:
-            raise SimulationError(
-                f"shards must be >= 0 (0: unsharded), got {self.shards}"
-            )
-
-    @property
-    def state_kind(self) -> str:
-        """The kind tag stamped on checkpoint archives."""
-        return f"sharded:{self.kind}" if self.shards else self.kind
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """The config as checkpoint payload arrays."""
+        """The config as checkpoint payload arrays.
+
+        The first integer is reserved and always 0: it held a scheduler
+        fan-out that no longer exists, and keeping the slot keeps older
+        archives readable with the same indices.
+        """
         ints = [
-            self.shards,
+            0,
             self.cascade,
             _NONE if self.rebuild_every is None else self.rebuild_every,
             _NONE if self.max_slots is None else self.max_slots,
@@ -152,7 +133,6 @@ class DaemonConfig:
         opt = [None if x == _NONE else x for x in ints[2:6]]
         return cls(
             kind=kind,
-            shards=ints[0],
             cascade=ints[1],
             rebuild_every=opt[0],
             max_slots=opt[1],
@@ -164,23 +144,11 @@ class DaemonConfig:
         )
 
 
-def _make_repairer(target, config: DaemonConfig, *, anchor: bool):
-    """Construct the repairer shape a config describes over ``target``."""
-    if config.shards:
-        return ShardedRepairScheduler(
-            target,
-            kind=config.kind,
-            cascade=config.cascade,
-            rebuild_every=config.rebuild_every,
-            max_slots=config.max_slots,
-            max_evictions=config.max_evictions,
-            admission=config.admission,
-            compaction_every=config.compaction_every,
-            anchor=anchor,
-        )
+def _make_repairer(dyn, config: DaemonConfig, *, anchor: bool):
+    """Construct the repairer shape a config describes over ``dyn``."""
     if config.kind == "capacity":
         return CapacityRepairScheduler(
-            target,
+            dyn,
             admission=config.admission,
             cascade=config.cascade,
             rebuild_every=config.rebuild_every,
@@ -190,7 +158,7 @@ def _make_repairer(target, config: DaemonConfig, *, anchor: bool):
             anchor=anchor,
         )
     return OnlineRepairScheduler(
-        target,
+        dyn,
         cascade=config.cascade,
         rebuild_every=config.rebuild_every,
         max_slots=config.max_slots,
@@ -216,28 +184,15 @@ def build_daemon(
     .submit`/``admit``/``depart`` advance the same id vocabulary.
     """
     config = config or DaemonConfig()
-    if config.shards:
-        if backend != "sparse":
-            raise SimulationError(
-                "sharded daemons need backend='sparse'; the shard "
-                "layout rides on the certified interaction radius"
-            )
-        ctx = SchedulingContext(
-            scenario.initial_links(), backend="sparse", eps=eps, radius=radius
-        )
-        facade = ShardedContext(ctx, shards=config.shards).dynamic()
-        driver = ChurnDriver(facade, scenario, power=power)
-        repairer = _make_repairer(facade, config, anchor=True)
-    else:
-        dyn = DynamicContext(
-            scenario.space,
-            scenario.initial_links(),
-            backend=backend,
-            eps=eps,
-            radius=radius,
-        )
-        driver = ChurnDriver(dyn, scenario, power=power)
-        repairer = _make_repairer(dyn, config, anchor=True)
+    dyn = DynamicContext(
+        scenario.space,
+        scenario.initial_links(),
+        backend=backend,
+        eps=eps,
+        radius=radius,
+    )
+    driver = ChurnDriver(dyn, scenario, power=power)
+    repairer = _make_repairer(dyn, config, anchor=True)
     return SchedulerDaemon(
         driver, repairer, config, latency_window=latency_window
     )
@@ -263,10 +218,8 @@ class SchedulerDaemon:
         self.driver = driver
         self.repairer = repairer
         self.config = config
-        #: The facade (sharded) or the context itself (serial).
-        self.target = driver.dyn
-        #: The underlying :class:`DynamicContext` holding the arrays.
-        self.core: DynamicContext = getattr(driver.dyn, "dyn", driver.dyn)
+        #: The :class:`DynamicContext` the driver mutates.
+        self.core: DynamicContext = driver.dyn
         self._admit_lat: deque[float] = deque(maxlen=latency_window)
         self._event_lat: deque[float] = deque(maxlen=latency_window)
         self._queue: asyncio.Queue | None = None
@@ -543,13 +496,6 @@ class SchedulerDaemon:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    @staticmethod
-    def layout_path(path: str | pathlib.Path) -> pathlib.Path:
-        """The shard-layout sidecar path next to a checkpoint path."""
-        p = pathlib.Path(path)
-        name = p.name[: -len(".npz")] if p.name.endswith(".npz") else p.name
-        return p.with_name(name + ".layout.npz")
-
     def _context_payload(self) -> dict[str, np.ndarray]:
         core = self.core
         active = core.active_slots
@@ -572,7 +518,12 @@ class SchedulerDaemon:
             senders[holes] = fs
             receivers[holes] = fr
             powers[holes] = 1.0
-        payload = {
+        # The metricity the context schedules under, as it stands: the
+        # resolved value, else the pinned argument, else NaN (resolved
+        # from the space on first use after restore, as it would have
+        # been live).  Never computed here.
+        zeta = core._zeta if core._zeta is not None else core._zeta_arg
+        return {
             "ctx_senders": senders.astype(np.int64),
             "ctx_receivers": receivers.astype(np.int64),
             "ctx_powers": powers,
@@ -587,19 +538,15 @@ class SchedulerDaemon:
                 ]
             ),
             "ctx_backend": np.array([core.backend], dtype=np.str_),
+            "ctx_zeta": np.array([np.nan if zeta is None else zeta]),
         }
-        if self.config.shards:
-            payload["ctx_owner"] = self.target._owner.copy()
-        return payload
 
     def checkpoint(self, path: str | pathlib.Path) -> None:
         """Write the full scheduler state to a :mod:`repro.io` archive.
 
         Requires a quiesced daemon — ``await drain()`` (or ``stop()``)
         first; checkpointing with mutations still queued would persist a
-        state no uninterrupted run ever passes through.  Sharded daemons
-        additionally write the shard-layout sidecar next to the archive
-        (:meth:`layout_path`).
+        state no uninterrupted run ever passes through.
         """
         if self._queue is not None and (
             self._queue.qsize() or self._held
@@ -612,9 +559,7 @@ class SchedulerDaemon:
         state.update(self._context_payload())
         state.update(self.driver.export_state())
         state.update(self.repairer.export_state())
-        save_scheduler_state(path, state, kind=self.config.state_kind)
-        if self.config.shards:
-            save_shard_layout(self.layout_path(path), self.target.layout)
+        save_scheduler_state(path, state, kind=self.config.kind)
 
     @classmethod
     def restore(
@@ -637,15 +582,27 @@ class SchedulerDaemon:
         resume serving.
         """
         kind, state = load_scheduler_state(path)
+        if ":" in kind or "ctx_owner" in state:
+            # Only the removed per-cell partitioned scheduler wrote
+            # prefixed kind tags and link-owner arrays.
+            raise SimulationError(
+                f"{path}: checkpoint kind {kind!r} comes from per-cell "
+                "partitioned scheduling, which has been removed; its "
+                "state cannot be restored — rebuild the daemon from its "
+                "scenario"
+            )
         config = DaemonConfig.from_arrays(state)
-        if config.state_kind != kind:
+        if config.kind != kind:
             raise SimulationError(
                 f"checkpoint kind tag {kind!r} disagrees with its stored "
-                f"config ({config.state_kind!r})"
+                f"config ({config.kind!r})"
             )
         capacity, hi = (int(x) for x in state["ctx_caps"])
         noise, beta, eps, radius = (float(x) for x in state["ctx_params"])
         backend = str(state["ctx_backend"][0])
+        # Archives before format 4 carry no metricity: resolve from the
+        # space, as those restores always did.
+        zeta = float(state["ctx_zeta"][0]) if "ctx_zeta" in state else np.nan
         pairs = list(
             zip(
                 state["ctx_senders"][:hi].tolist(),
@@ -658,6 +615,7 @@ class SchedulerDaemon:
             state["ctx_powers"][:hi] if pairs else None,
             noise=noise,
             beta=beta,
+            zeta=None if np.isnan(zeta) else zeta,
             capacity=capacity,
             backend=backend,
             eps=eps,
@@ -666,19 +624,9 @@ class SchedulerDaemon:
         holes = state["ctx_holes"]
         if holes.size:
             dyn.remove_links([int(s) for s in holes])
-        if config.shards:
-            layout = load_shard_layout(
-                cls.layout_path(path),
-                expect_version=archive_format_version(path),
-            )
-            target = ShardedDynamicContext.from_layout(
-                layout, dyn, owner=state["ctx_owner"]
-            )
-        else:
-            target = dyn
-        driver = ChurnDriver(target, events, power=power)
+        driver = ChurnDriver(dyn, events, power=power)
         driver.restore_state(state)
-        repairer = _make_repairer(target, config, anchor=False)
+        repairer = _make_repairer(dyn, config, anchor=False)
         repairer.restore_state(state)
         return cls(
             driver, repairer, config, latency_window=latency_window

@@ -110,7 +110,6 @@ def run_loadgen(
     seed: int = 0,
     horizon: int = 120,
     backend: str = "dense",
-    shards: int = 0,
     kind: str = "first_fit",
     batch: int = 1,
     rate: float | None = None,
@@ -126,7 +125,7 @@ def run_loadgen(
         horizon=horizon,
         **(scenario_kwargs or {}),
     )
-    config = DaemonConfig(kind=kind, shards=shards, batch=batch)
+    config = DaemonConfig(kind=kind, batch=batch)
     daemon = build_daemon(
         scn, config=config, backend=backend, eps=eps, radius=radius
     )
@@ -146,7 +145,6 @@ def run_loadgen(
         seed=seed,
         horizon=horizon,
         backend=backend,
-        shards=shards,
         kind=kind,
         batch=batch,
         eps=eps,
@@ -175,7 +173,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", default="dense", choices=("dense", "sparse")
     )
-    parser.add_argument("--shards", type=int, default=0)
     parser.add_argument(
         "--kind", default="first_fit", choices=("first_fit", "capacity")
     )
@@ -219,7 +216,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         horizon=args.horizon,
         backend=args.backend,
-        shards=args.shards,
         kind=args.kind,
         batch=args.batch,
         rate=args.rate,
@@ -233,7 +229,7 @@ def main(argv=None) -> int:
     )
     label = args.label or (
         f"{args.scenario}_m{args.n_links}_h{args.horizon}_"
-        f"{args.kind}{'_sharded' + str(args.shards) if args.shards else ''}"
+        f"{args.kind}"
         f"{'_b' + str(args.batch) if args.batch > 1 else ''}"
     )
     if args.out is not None:

@@ -79,6 +79,43 @@ class TestMatrices:
             assert ctx.is_feasible(subset) == is_feasible(links, subset, powers)
 
 
+class TestZetaValidation:
+    """Regression: a NaN ``zeta`` used to be accepted and passed every
+    separation test (each comparison with NaN is false), so Algorithm 1
+    on ``planar_uniform`` m=30 admitted 21 links instead of 19; an
+    infinite one was accepted too.  Both contexts and
+    ``LinkSet._resolve_zeta`` now refuse them before building state."""
+
+    BAD = [float("nan"), float("inf"), -float("inf"), 0.0, -2.0]
+
+    @pytest.mark.parametrize("zeta", BAD)
+    def test_scheduling_context_rejects(self, zeta):
+        links = make_planar_links(6, alpha=3.0, seed=1)
+        with pytest.raises(LinkError, match="zeta must be positive"):
+            SchedulingContext(links, zeta=zeta)
+
+    @pytest.mark.parametrize("zeta", BAD)
+    def test_dynamic_context_rejects(self, zeta):
+        from repro.algorithms.context import DynamicContext
+
+        links = make_planar_links(6, alpha=3.0, seed=1)
+        pairs = list(zip(links.senders.tolist(), links.receivers.tolist()))
+        with pytest.raises(LinkError, match="zeta must be positive"):
+            DynamicContext(links.space, pairs, zeta=zeta)
+
+    @pytest.mark.parametrize("zeta", BAD)
+    def test_link_set_resolution_rejects(self, zeta):
+        links = make_planar_links(6, alpha=3.0, seed=1)
+        with pytest.raises(LinkError, match="zeta must be positive"):
+            links.quasi_lengths(zeta=zeta)
+        with pytest.raises(LinkError, match="zeta must be positive"):
+            capacity_bounded_growth(links, zeta=zeta)
+
+    def test_finite_zeta_still_accepted(self):
+        links = make_planar_links(6, alpha=3.0, seed=1)
+        assert SchedulingContext(links, zeta=np.float64(2.5)).zeta == 2.5
+
+
 class TestCapacityEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_full_set_matches_wrapper(self, seed):
@@ -216,3 +253,53 @@ def test_context_scheduling_always_matches_legacy(n_links, seed):
     links = make_planar_links(n_links, alpha=3.0, seed=seed)
     fast = schedule_repeated_capacity(links)
     assert fast.slots == legacy_repeated_capacity(links, capacity_bounded_growth)
+
+
+def reference_first_fit_every_member(a, order) -> list[list[int]]:
+    """First fit that probes every member of every slot (reference).
+
+    The plain rule, no support shortcut: a link joins the earliest slot
+    where its own in-affectance and every member's, with the link's
+    (zero-padded) row added, stay at most 1.  Sparse views are read one
+    dense row at a time.
+    """
+    n = a.shape[0]
+    row = (lambda v: a[v]) if isinstance(a, np.ndarray) else a.dense_row
+    slots: list[list[int]] = []
+    sums: list[np.ndarray] = []
+    for v in order:
+        v = int(v)
+        av = row(v)
+        for t, mem in enumerate(slots):
+            if sums[t][v] <= 1.0 and np.all(sums[t][mem] + av[mem] <= 1.0):
+                mem.append(v)
+                sums[t] += av
+                break
+        else:
+            slots.append([v])
+            sums.append(np.zeros(n) + av)
+    return slots
+
+
+class TestFirstFitKernel:
+    """The slot-label kernel compares only the members in a link's row
+    support; the every-member reference must give the same slots, in
+    admission order, on both backends and under any processing order."""
+
+    @given(
+        name=st.sampled_from(
+            ["planar_uniform", "dense_urban", "asymmetric_measured", "corridor"]
+        ),
+        seed=st.integers(0, 50),
+        backend=st.sampled_from(["dense", "sparse"]),
+    )
+    def test_matches_every_member_reference(self, name, seed, backend):
+        from repro.algorithms.context import _first_fit_slots
+        from repro.scenarios import build_scenario
+
+        links = build_scenario(name, n_links=60, seed=seed)
+        ctx = SchedulingContext(links, backend=backend, eps=0.3)
+        a = ctx.raw_affectance if backend == "dense" else ctx.sparse_affectance.raw
+        order = np.random.default_rng(seed).permutation(links.m)
+        got = _first_fit_slots(a, order)
+        assert got == reference_first_fit_every_member(a, order)

@@ -456,3 +456,19 @@ class TestAdaptiveAdmission:
             schedule_repeated_capacity(
                 links, capacity_bounded_growth, admission="adaptive"
             )
+
+
+def test_sparse_contexts_share_the_geometry_node_index():
+    """Two sparse dynamic contexts over one geometry (a live one and a
+    restore, say) reuse the geometry's cached node index instead of each
+    building their own."""
+    links = build_scenario("planar_uniform", n_links=20, seed=3)
+    ctx = SchedulingContext(links, backend="sparse", eps=1e-2)
+    radius = ctx.sparse_affectance.radius
+    pair = (int(links.senders[0]), int(links.receivers[1]))
+    first, second = ctx.dynamic(), ctx.dynamic()
+    first.add_links([pair])  # each arrival batch queries the index
+    second.add_links([pair])
+    index = links.space.geometry.node_index(radius)
+    assert first._node_index is index
+    assert second._node_index is index

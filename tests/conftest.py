@@ -46,10 +46,6 @@ def pytest_configure(config):
     """Register project markers (there is no pytest.ini to carry them)."""
     config.addinivalue_line(
         "markers",
-        "shards: sharded scheduling/repair suites (select with -m shards)",
-    )
-    config.addinivalue_line(
-        "markers",
         "service: scheduler daemon / loadgen suites (select with -m service)",
     )
 

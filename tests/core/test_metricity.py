@@ -241,3 +241,40 @@ def test_extreme_dynamic_range_uses_log_fallback():
     """Spans beyond float pow range still agree with the bisection."""
     f = random_decay_matrix(8, seed=3, low=1e-8, high=1e12, symmetric=False)
     assert metricity(f) == pytest.approx(metricity_bisection(f), abs=1e-6)
+
+
+@pytest.mark.parametrize("all_pruned", [True, False])
+def test_float32_screen_copies_built_only_for_dense_nodes(all_pruned):
+    """The float32 ``screen``/``target`` copies are read only by the dense
+    screen, so a scan whose every middle node takes the pruned gather
+    never builds them; when dense nodes do run, the copies match the
+    float64 quasi-distances they were made from.  Either way the value
+    is the same."""
+    import sys
+    from unittest import mock
+
+    # ``repro.core`` re-exports the function under the module's name.
+    metricity_mod = sys.modules["repro.core.metricity"]
+    f = random_decay_matrix(30, seed=4, low=0.2, high=40.0, symmetric=False)
+    want = metricity(f, workers=1)
+    states = []
+    real_init = metricity_mod._ScreenState.__init__
+
+    def spy(self, *args):
+        real_init(self, *args)
+        states.append(self)
+
+    share = 0 if all_pruned else 10**9  # zero: every count estimate passes
+    with mock.patch.object(metricity_mod._ScreenState, "__init__", spy), \
+            mock.patch.object(metricity_mod, "_DENSE_SHARE", share):
+        got = metricity(f, workers=1)
+    assert repr(got) == repr(want)
+    (state,) = states
+    assert state.snap[1] == "f32"
+    if all_pruned:
+        assert state._dense is None
+        assert state.snap[2] is None and state.snap[3] is None
+    else:
+        snap, full = state._dense
+        assert full[2].dtype == np.float32
+        assert np.array_equal(full[2], snap[4].astype(np.float32))

@@ -311,13 +311,3 @@ class TestRepairSchedulerMode:
         links = make_planar_links(4, alpha=3.0, seed=42)
         with pytest.raises(SimulationError, match="scheduler='policy'"):
             run_queue_simulation(links, 0.2, 50, cascade=3)
-
-    def test_nonpositive_shard_count_rejected(self):
-        """Regression: shards=0 used to surface as a confusing complaint
-        about the backend of the context it would have been applied to."""
-        links = make_planar_links(4, alpha=3.0, seed=43)
-        for bad in (0, -2):
-            with pytest.raises(SimulationError, match="shards must be >= 1"):
-                run_queue_simulation(
-                    links, 0.2, 50, scheduler="repair", shards=bad
-                )

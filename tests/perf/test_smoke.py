@@ -322,48 +322,6 @@ def test_sparse_scale_m10k_first_fit_and_churn_repair():
     )
 
 
-#: Sharded-scheduling tier (PR-9): the m=10^4 churn workload of the
-#: sparse tier routed through ~8 per-cell shard repairers.  Observed on
-#: a busy-VM core: ~1 s CSR build, ~2 s shard slicing + per-shard
-#: adoption, well under a second for the event replay (each event
-#: repairs only its owning shards) and ~0.5 s for the final certified
-#: merge.  The <60 s budget is the ISSUE-9 smoke criterion: a
-#: regression that re-certifies the full merge per event (a per-member
-#: gather loop over all 10^4 links) alone costs ~3 s x 16 events and
-#: blows it.
-SHARDED_M10K_BUDGET = 60.0
-
-
-def test_sharded_scale_m10k_under_budget():
-    """m=10^4 sharded churn repair end-to-end, < 60 s wall-clock."""
-    from repro.algorithms.sharding import ShardedContext, ShardedRepairScheduler
-
-    scn = build_dynamic_scenario(
-        "poisson_churn", n_links=10_000, seed=3,
-        substrate="planar_uniform", horizon=200, churn_rate=0.1,
-    )
-    links = scn.initial_links()
-    start = time.perf_counter()
-    ctx = SchedulingContext(
-        links, noise=0.0, beta=1.0, backend="sparse", eps=0.2
-    )
-    sharded = ShardedContext(ctx, target_links_per_shard=10_000 // 8)
-    assert sharded.n_shards >= 2
-    sdyn = sharded.dynamic()
-    driver = ChurnDriver(sdyn, scn)
-    rep = ShardedRepairScheduler(sdyn, kind="first_fit")
-    for ev in scn.events:
-        rep.apply(*driver.step(ev.slot))
-    schedule = rep.active_schedule
-    elapsed = time.perf_counter() - start
-    assert rep.check()
-    placed = sum(len(s) for s in schedule)
-    assert placed + len(rep.deferred) == sdyn.m
-    assert elapsed < SHARDED_M10K_BUDGET, (
-        f"m=10^4 sharded churn repair took {elapsed:.2f}s"
-    )
-
-
 #: Far-field certificate tier: the two ``CellIndex.far_field_sums`` calls
 #: of one m=10^4 ``planar_uniform`` sparse build at the pinned radius 12
 #: (receivers against the sender cells, senders against the receiver

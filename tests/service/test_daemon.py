@@ -19,8 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamics import ChurnEvent
-from repro.errors import SimulationError
+from repro.algorithms.context import DynamicContext
+from repro.algorithms.repair import CapacityRepairScheduler
+from repro.core.decay import DecaySpace
+from repro.dynamics import ChurnDriver, ChurnEvent
+from repro.errors import LinkError, SimulationError
+from repro.io import load_scheduler_state
 from repro.scenarios import build_dynamic_scenario
 from repro.service.daemon import DaemonConfig, SchedulerDaemon, build_daemon
 from tests.conftest import CHURN_EXAMPLES
@@ -164,13 +168,10 @@ class TestConfig:
             DaemonConfig(kind="bogus")
         with pytest.raises(SimulationError, match="compaction_every"):
             DaemonConfig(kind="first_fit", compaction_every=4)
-        with pytest.raises(SimulationError, match="shards must be >= 0"):
-            DaemonConfig(shards=-1)
 
     def test_array_roundtrip(self):
         config = DaemonConfig(
             kind="capacity",
-            shards=0,
             cascade=2,
             max_slots=9,
             admission="general",
@@ -358,32 +359,167 @@ class TestBatching:
         _drive(run())
 
 
-class TestShardedDaemon:
-    def test_sharded_lifecycle_and_checkpoint_roundtrip(self):
-        scn = _scn(seed=8, n_links=48, horizon=20)
+def _rewrite(path, out, mutate):
+    """Copy the archive at ``path`` to ``out`` with ``mutate`` applied."""
+    with np.load(path) as archive:
+        payload = {k: archive[k] for k in archive.files}
+    mutate(payload)
+    np.savez(out, **payload)
+    return out
 
-        async def run():
-            config = DaemonConfig(shards=2)
-            daemon = build_daemon(scn, config=config, backend="sparse")
+
+class TestCheckpointZeta:
+    """The archive carries the metricity the live context schedules under
+    (Definition 2.2).  Regression: a restore used to resolve the space's
+    own Z instead, so a daemon over a pinned ``zeta`` resumed under a
+    different one."""
+
+    @staticmethod
+    def _pinned(scn, zeta):
+        dyn = DynamicContext(scn.space, scn.initial_links(), zeta=zeta)
+        repairer = CapacityRepairScheduler(dyn)
+        return SchedulerDaemon(
+            ChurnDriver(dyn, scn), repairer, DaemonConfig(kind="capacity")
+        )
+
+    def test_pinned_zeta_restore_equals_live(self):
+        scn = _scn(seed=5, n_links=30, horizon=40)
+        zeta = 2.0
+        assert scn.space.metricity() != zeta
+        events = list(scn.events)
+        k = len(events) // 2
+
+        async def uninterrupted():
+            daemon = self._pinned(scn, zeta)
             await daemon.start()
-            await _replay(daemon, scn.events)
+            await _replay(daemon, events)
+            await daemon.stop()
+            return _state_bytes(daemon)
+
+        async def killed():
+            daemon = self._pinned(scn, zeta)
+            await daemon.start()
+            await _replay(daemon, events[:k])
             await daemon.drain()
-            want = _state_bytes(daemon)
             with tempfile.TemporaryDirectory() as tmp:
                 daemon.checkpoint(f"{tmp}/ckpt")
-                # The shard layout rides as a sidecar next to the archive.
-                assert daemon.layout_path(f"{tmp}/ckpt").is_file()
                 await daemon.stop()
                 resumed = SchedulerDaemon.restore(f"{tmp}/ckpt", scn.space)
-            assert _state_bytes(resumed) == want
+            assert resumed.core.zeta == zeta
             await resumed.start()
-            res = await resumed.admit(0, 1)
-            assert res["slot"] is not None
+            await _replay(resumed, events[k:])
             await resumed.stop()
+            return _state_bytes(resumed)
 
-        _drive(run())
+        want = _drive(uninterrupted())
+        got = _drive(killed())
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], key
 
-    def test_sharded_daemon_needs_sparse_backend(self):
+    def test_checkpoint_never_computes_zeta(self, monkeypatch):
+        scn = _scn(seed=6)
+
+        async def run(tmp):
+            daemon = build_daemon(scn)
+            assert daemon.core._zeta is None  # first fit never needs it
+            await daemon.start()
+            await daemon.drain()
+
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("checkpoint computed the metricity")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DecaySpace, "metricity", refuse)
+                daemon.checkpoint(f"{tmp}/ckpt")
+            await daemon.stop()
+            _, state = load_scheduler_state(f"{tmp}/ckpt")
+            assert np.isnan(state["ctx_zeta"]).all()
+            resumed = SchedulerDaemon.restore(f"{tmp}/ckpt", scn.space)
+            assert resumed.core.zeta == scn.space.metricity()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _drive(run(tmp))
+
+
+class TestCheckpointCompatibility:
+    """Archives written before format 4 keep restoring; archives of the
+    removed per-cell partitioned scheduler fail clearly."""
+
+    @staticmethod
+    async def _checkpointed(scn, config, path):
+        daemon = build_daemon(scn, config=config)
+        await daemon.start()
+        await _replay(daemon, list(scn.events)[:10])
+        await daemon.drain()
+        daemon.checkpoint(path)
+        await daemon.stop()
+        return daemon
+
+    @pytest.mark.parametrize("kind", ["first_fit", "capacity"])
+    def test_format3_archive_restores_byte_identically(self, kind):
+        """The format-3 layout: no ``ctx_zeta``, plus the repairer's
+        link-subset flag (always ``False`` outside partitioned repair)
+        and its empty member list."""
+        scn = _scn(seed=7)
+        events = list(scn.events)
+
+        def as_format3(payload):
+            payload["format_version"] = np.array([3])
+            del payload["ctx_zeta"]
+            payload["repair_has_universe"] = np.array([False])
+            payload["repair_universe"] = np.array([], dtype=np.int64)
+
+        async def run(tmp):
+            config = DaemonConfig(kind=kind)
+            live = await self._checkpointed(scn, config, f"{tmp}/new.npz")
+            old = _rewrite(f"{tmp}/new.npz", f"{tmp}/old.npz", as_format3)
+            resumed = SchedulerDaemon.restore(old, scn.space)
+            assert _state_bytes(resumed) == _state_bytes(live)
+            await live.start()
+            await resumed.start()
+            await _replay(live, events[10:])
+            await _replay(resumed, events[10:])
+            await live.stop()
+            await resumed.stop()
+            assert _state_bytes(resumed) == _state_bytes(live)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _drive(run(tmp))
+
+    @pytest.mark.parametrize("mark", ["kind_tag", "owner_array"])
+    def test_partitioned_archive_names_the_removal(self, mark):
+        scn = _scn(seed=8)
+
+        def as_partitioned(payload):
+            if mark == "kind_tag":
+                payload["scheduler_kind"] = np.array(["sharded:first_fit"])
+            else:
+                payload["ctx_owner"] = np.zeros(4, dtype=np.int64)
+
+        async def run(tmp):
+            await self._checkpointed(scn, DaemonConfig(), f"{tmp}/new.npz")
+            bad = _rewrite(f"{tmp}/new.npz", f"{tmp}/bad.npz", as_partitioned)
+            with pytest.raises(
+                SimulationError, match="partitioned scheduling.*removed"
+            ):
+                SchedulerDaemon.restore(bad, scn.space)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _drive(run(tmp))
+
+    def test_link_subset_repairer_state_rejected(self):
         scn = _scn(seed=9)
-        with pytest.raises(SimulationError, match="sparse"):
-            build_daemon(scn, config=DaemonConfig(shards=2), backend="dense")
+
+        def with_subset(payload):
+            payload["repair_has_universe"] = np.array([True])
+            payload["repair_universe"] = np.arange(3, dtype=np.int64)
+
+        async def run(tmp):
+            await self._checkpointed(scn, DaemonConfig(), f"{tmp}/new.npz")
+            bad = _rewrite(f"{tmp}/new.npz", f"{tmp}/bad.npz", with_subset)
+            with pytest.raises(LinkError, match="partitioned repair"):
+                SchedulerDaemon.restore(bad, scn.space)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _drive(run(tmp))

@@ -29,7 +29,7 @@ class TestRunLoadgen:
         assert report["admit_p99_ms"] >= report["admit_p50_ms"] >= 0.0
         assert report["m"] > 0 and report["slot_count"] >= 1
         # Build knobs echo into the report for the BENCH artifact.
-        for key in ("backend", "shards", "kind", "batch", "eps", "radius"):
+        for key in ("backend", "kind", "batch", "eps", "radius"):
             assert key in report
 
     def test_rate_cap_slows_the_replay(self):

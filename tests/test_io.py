@@ -1,4 +1,4 @@
-"""Tests for decay-space / link-set / shard-layout persistence."""
+"""Tests for decay-space / link-set / sparse-pattern / scheduler-state persistence."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ from repro.core.decay import DecaySpace
 from repro.errors import ReproError
 from repro.io import (
     load_links,
-    load_shard_layout,
     load_space,
     load_sparse_affectance,
     save_links,
-    save_shard_layout,
     save_space,
     save_sparse_affectance,
 )
@@ -285,106 +283,6 @@ class TestSparseAffectanceRoundtrip:
             load_sparse_affectance(tmp_path / "bad.npz")
 
 
-class TestShardLayoutRoundtrip:
-    def _layout(self, eps=0.4):
-        from repro.algorithms.context import SchedulingContext
-        from repro.algorithms.sharding import build_shard_layout
-
-        links = make_planar_links(48, alpha=3.0, seed=8)
-        ctx = SchedulingContext(
-            links, noise=0.0, beta=1.0, backend="sparse", eps=eps
-        )
-        return ctx, build_shard_layout(ctx, shards=3)
-
-    def _tampered(self, tmp_path, mutate):
-        """Save a layout, rewrite one field, return the bad path."""
-        _, layout = self._layout()
-        save_shard_layout(tmp_path / "lay", layout)
-        with np.load(tmp_path / "lay.npz") as archive:
-            payload = {k: archive[k] for k in archive.files}
-        mutate(payload)
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **payload)
-        return bad
-
-    def test_roundtrip(self, tmp_path):
-        _, layout = self._layout()
-        assert layout.n_shards >= 2  # exercise a real multi-shard sidecar
-        save_shard_layout(tmp_path / "lay", layout)
-        loaded = load_shard_layout(tmp_path / "lay")
-        assert loaded.n_shards == layout.n_shards
-        assert loaded.m == layout.m
-        assert loaded.radius == layout.radius
-        assert np.array_equal(loaded.owner, layout.owner)
-        for k in range(layout.n_shards):
-            assert np.array_equal(loaded.interior[k], layout.interior[k])
-            assert np.array_equal(loaded.halo[k], layout.halo[k])
-        assert np.array_equal(
-            loaded.partition.shard_of_cell, layout.partition.shard_of_cell
-        )
-
-    def test_loaded_layout_schedules_identically(self, tmp_path):
-        from repro.algorithms.sharding import ShardedContext
-
-        ctx, layout = self._layout()
-        save_shard_layout(tmp_path / "lay", layout)
-        loaded = load_shard_layout(tmp_path / "lay")
-        assert (
-            ShardedContext(ctx, layout=loaded).first_fit()
-            == ShardedContext(ctx, layout=layout).first_fit()
-        )
-
-    def test_rejects_foreign_archive(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, decay=random_decay_matrix(3, seed=1))
-        with pytest.raises(ReproError, match="not a shard-layout"):
-            load_shard_layout(path)
-
-    def test_tampered_cell_size_fails_loudly(self, tmp_path):
-        """A grid rescaled away from the certified interaction radius
-        invalidates the halo certificate."""
-
-        def mutate(payload):
-            payload["shard_params"] = payload["shard_params"].copy()
-            payload["shard_params"][0] *= 2.0
-
-        bad = self._tampered(tmp_path, mutate)
-        with pytest.raises(ReproError, match="interaction radius"):
-            load_shard_layout(bad)
-
-    def test_tampered_shard_count_fails_loudly(self, tmp_path):
-        def mutate(payload):
-            payload["shard_counts"] = payload["shard_counts"].copy()
-            payload["shard_counts"][1] += 1
-
-        bad = self._tampered(tmp_path, mutate)
-        with pytest.raises(ReproError, match="claims"):
-            load_shard_layout(bad)
-
-    def test_tampered_cell_assignment_fails_loudly(self, tmp_path):
-        """Non-contiguous per-cell shard ids break the predecessor rule
-        the partition's cut relies on."""
-
-        def mutate(payload):
-            ids = payload["shard_of_cell"].copy()
-            ids[0] = ids.max()  # first cell jumps to the last shard
-            payload["shard_of_cell"] = ids
-
-        bad = self._tampered(tmp_path, mutate)
-        with pytest.raises(ReproError, match="invalid shard partition"):
-            load_shard_layout(bad)
-
-    def test_tampered_owner_fails_loudly(self, tmp_path):
-        def mutate(payload):
-            owner = payload["shard_owner"].copy()
-            owner[0] = (owner[0] + 1) % int(payload["shard_counts"][1])
-            payload["shard_owner"] = owner
-
-        bad = self._tampered(tmp_path, mutate)
-        with pytest.raises(ReproError, match="disagree with the stored"):
-            load_shard_layout(bad)
-
-
 class TestSchedulerStateArchive:
     """The dumb-envelope scheduler-state archive and the sidecar
     version cross-check it introduced (format version 3)."""
@@ -458,25 +356,6 @@ class TestSidecarVersionCrossCheck:
         old = tmp_path / f"old_{name}.npz"
         np.savez(old, **payload)
         return old
-
-    def test_mixed_version_shard_layout_pair_rejected(self, tmp_path):
-        from repro.algorithms.context import SchedulingContext
-        from repro.algorithms.sharding import build_shard_layout
-        from repro.io import _FORMAT_VERSION
-
-        links = make_planar_links(48, alpha=3.0, seed=8)
-        ctx = SchedulingContext(
-            links, noise=0.0, beta=1.0, backend="sparse", eps=0.4
-        )
-        layout = build_shard_layout(ctx, shards=3)
-        old = self._aged(
-            tmp_path, lambda p: save_shard_layout(p, layout), "lay"
-        )
-        # Version 2 is still loadable on its own...
-        load_shard_layout(old)
-        # ...but not next to a version-3 main archive.
-        with pytest.raises(ReproError, match="mixed-version"):
-            load_shard_layout(old, expect_version=_FORMAT_VERSION)
 
     def test_mixed_version_sparse_pattern_pair_rejected(self, tmp_path):
         from repro.algorithms.context import SchedulingContext
