@@ -311,3 +311,55 @@ class TestRepairSchedulerMode:
         links = make_planar_links(4, alpha=3.0, seed=42)
         with pytest.raises(SimulationError, match="scheduler='policy'"):
             run_queue_simulation(links, 0.2, 50, cascade=3)
+
+
+class TestSparseContextRuns:
+    """Scheduler-maintained runs over a caller-supplied sparse context."""
+
+    SCHEDULERS = ("repair", "capacity_repair", "rebuild", "capacity_rebuild")
+
+    @staticmethod
+    def _scenario():
+        return build_dynamic_scenario(
+            "poisson_churn",
+            n_links=24,
+            seed=5,
+            substrate="planar_uniform",
+            horizon=40,
+            churn_rate=0.2,
+        )
+
+    @pytest.mark.parametrize("scheduler", ("repair", "capacity_repair"))
+    def test_complete_pattern_run_matches_dense(self, scheduler):
+        """A complete pattern stores every pair, so its sums are the
+        dense floats and the whole run must match the dense one."""
+        scn = self._scenario()
+        links = scn.initial_links()
+        ctx = SchedulingContext(links, backend="sparse", eps=1e-3)
+        assert ctx.sparse_affectance.complete
+        kw = dict(churn=scn, scheduler=scheduler, seed=11)
+        sparse = run_queue_simulation(links, 0.1, 80, context=ctx, **kw)
+        dense = run_queue_simulation(links, 0.1, 80, **kw)
+        assert sparse.churn_events > 0
+        assert sparse.delivered == dense.delivered
+        assert sparse.schedule_slots == dense.schedule_slots
+        assert np.array_equal(sparse.final_queues, dense.final_queues)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_thresholded_pattern_run_delivers(self, scheduler):
+        scn = self._scenario()
+        links = scn.initial_links()
+        ctx = SchedulingContext(links, backend="sparse", eps=0.5)
+        assert not ctx.sparse_affectance.complete
+        res = run_queue_simulation(
+            links, 0.1, 80, context=ctx, churn=scn,
+            scheduler=scheduler, seed=11,
+        )
+        assert res.delivered > 0
+        assert res.churn_events > 0
+        assert res.schedule_slots >= 1
+        if scheduler.endswith("rebuild"):
+            assert res.scheduler_rebuilds == res.churn_events
+            assert res.repair_ratio == 1.0
+        else:
+            assert res.repair_ratio >= 0.5

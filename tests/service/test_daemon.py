@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.context import DynamicContext
+from repro.algorithms.context import DynamicContext, SchedulingContext
 from repro.algorithms.repair import CapacityRepairScheduler
 from repro.core.decay import DecaySpace
 from repro.dynamics import ChurnDriver, ChurnEvent
@@ -523,3 +523,73 @@ class TestCheckpointCompatibility:
 
         with tempfile.TemporaryDirectory() as tmp:
             _drive(run(tmp))
+
+
+
+class TestSparseDaemon:
+    """The sparse backend on a thresholded pattern: the checkpoint
+    carries the pinned interaction radius, so a restore rebuilds the
+    same stored pattern and resumes byte-identically."""
+
+    @pytest.mark.parametrize("kind", ["first_fit", "capacity"])
+    @given(cut_pct=st.integers(1, 99))
+    @settings(max_examples=CHURN_EXAMPLES, deadline=None)
+    def test_kill_mid_trace_resumes_byte_identical(self, kind, cut_pct):
+        scn = _scn(seed=8, n_links=48, horizon=20)
+        static = SchedulingContext(
+            scn.initial_links(), backend="sparse", eps=0.5
+        )
+        assert not static.sparse_affectance.complete
+        events = list(scn.events)
+        k = max(1, (len(events) * cut_pct) // 100)
+        config = DaemonConfig(kind=kind)
+
+        def build():
+            return build_daemon(scn, config=config, backend="sparse", eps=0.5)
+
+        async def uninterrupted():
+            daemon = build()
+            await daemon.start()
+            await _replay(daemon, events)
+            await daemon.stop()
+            return daemon
+
+        async def killed():
+            daemon = build()
+            await daemon.start()
+            await _replay(daemon, events[:k])
+            await daemon.drain()
+            with tempfile.TemporaryDirectory() as tmp:
+                daemon.checkpoint(f"{tmp}/ckpt")
+                await daemon.stop()
+                resumed = SchedulerDaemon.restore(f"{tmp}/ckpt", scn.space)
+            assert resumed.core.backend == "sparse"
+            assert resumed.core.radius == daemon.core.radius
+            await resumed.start()
+            await _replay(resumed, events[k:])
+            await resumed.stop()
+            return resumed
+
+        live = _drive(uninterrupted())
+        resumed = _drive(killed())
+        assert _state_bytes(resumed) == _state_bytes(live)
+
+    def test_complete_pattern_daemon_places_like_dense(self):
+        """On a complete pattern the sparse daemon places every event
+        exactly as the dense one does."""
+        scn = _scn(seed=8)
+        static = SchedulingContext(
+            scn.initial_links(), backend="sparse", eps=1e-3
+        )
+        assert static.sparse_affectance.complete
+
+        async def run(backend):
+            daemon = build_daemon(scn, backend=backend, eps=1e-3)
+            await daemon.start()
+            results = await _replay(daemon, scn.events)
+            await daemon.stop()
+            for res in results:
+                del res["latency_s"]
+            return results, daemon.repairer.schedule.slots
+
+        assert _drive(run("sparse")) == _drive(run("dense"))
