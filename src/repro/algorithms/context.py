@@ -78,48 +78,28 @@ _LEDGER_GUARD_PER_LINK = 1e-9
 
 
 class _AffectanceLedger:
-    """Per-link in/out affectance sums over a maintained member set.
+    """Per-link in/out affectance sums over a shrinking member set.
 
     The delta structure of repeated capacity:
     ``in_sum[v] = a_M(v)`` (column sums: what members do to ``v``) and
     ``out_sum[v] = a_v(M)`` (row sums: what ``v`` does to members) over the
-    member set ``M``, for *every* link ``v``.  Members join one at a time
-    (``add`` — a link-subset view is seeded this way) or leave a peeled
-    slot at a time (``remove_slot`` — one vectorized subtraction per round
-    instead of re-slicing the full matrix).  All state is local to the
-    algorithm invocation; the context's caches are never touched.
+    member set ``M``, for *every* link ``v``.  ``M`` starts as every link
+    and loses a peeled slot at a time (``remove_slot`` — one vectorized
+    subtraction per round instead of re-slicing the full matrix).  All
+    state is local to the algorithm invocation; the context's caches are
+    never touched.
     """
 
     __slots__ = ("a", "dense", "mask", "in_sum", "out_sum", "count")
 
-    def __init__(self, a, *, full: bool) -> None:
+    def __init__(self, a) -> None:
         m = a.shape[0]
         self.a = a
         self.dense = isinstance(a, np.ndarray)
-        if full:
-            self.mask = np.ones(m, dtype=bool)
-            self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
-            self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
-            self.count = m
-        else:
-            self.mask = np.zeros(m, dtype=bool)
-            self.in_sum = np.zeros(m)
-            self.out_sum = np.zeros(m)
-            self.count = 0
-
-    def add(self, v: int) -> None:
-        """Admit link ``v`` (identical accumulation order to the PR-1 loops)."""
-        self.mask[v] = True
-        if self.dense:
-            self.in_sum += self.a[v]
-            self.out_sum += self.a[:, v]
-        else:
-            # Scatter over the stored pattern: unstored entries add an
-            # exact 0.0, so the sums match the dense accumulation float
-            # for float whenever the pattern holds the pairs.
-            self.a.add_row_to(self.in_sum, v)
-            self.a.add_col_to(self.out_sum, v)
-        self.count += 1
+        self.mask = np.ones(m, dtype=bool)
+        self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
+        self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
+        self.count = m
 
     def remove_slot(self, members: Sequence[int]) -> None:
         """Peel a whole slot from the member set by subtraction."""
@@ -180,30 +160,36 @@ def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
     and the repair anchor both run here, so they compare the same floats
     by construction.
 
-    Membership is one ``label`` array (the slot of each placed link, -1
-    before placement), and each slot keeps a ledger ``in_aff`` of the
-    in-affectance its members put on every link.  A probe of slot ``t``
-    checks ``in_aff[v] <= 1`` and then ``in_aff[u] + a[v, u] <= 1`` only
-    for the members ``u`` in the support of ``v``'s stored row: every
-    other member gains an exact ``+0.0`` and already carries load at
-    most 1 (it passed the same test when it joined and at every later
-    admission), so skipping it changes no comparison.  A sparse probe
-    therefore costs O(degree) instead of O(slot size), and the ledger
-    update scatters over the same support, float for float what a dense
-    zero-padded row would add.  A dense row's support is the whole row,
-    so a dense probe is one masked elementwise pass over all links.
+    Each slot keeps a ledger ``in_aff`` of the in-affectance its members
+    put on every link.  A probe of slot ``t`` checks ``in_aff[v] <= 1``
+    and then ``in_aff[u] + a[v, u] <= 1`` for the members ``u``.  On a
+    sparse view only the members in the support of ``v``'s stored row are
+    checked, found through one ``label`` array (the slot of each placed
+    link, -1 before placement): every other member gains an exact
+    ``+0.0`` and already carries load at most 1 (it passed the same test
+    when it joined and at every later admission), so skipping it changes
+    no comparison.  A sparse probe therefore costs O(degree) instead of
+    O(slot size), and the ledger update scatters over the same support,
+    float for float what a dense zero-padded row would add.  A dense row's
+    support is the whole row, so a dense probe gathers the slot's members
+    from a per-slot index buffer and costs O(slot size).
 
     Returns each slot's members in admission order.
     """
     n = a.shape[0]
     dense = isinstance(a, np.ndarray)
-    label = np.full(n, -1, dtype=np.int64)
     slots: list[list[int]] = []
     ledgers: list[np.ndarray] = []
+    if dense:
+        # Slot t's members are members[t][:len(slots[t])]; a slot holds
+        # at most n links, so the buffers never grow.
+        members: list[np.ndarray] = []
+    else:
+        label = np.full(n, -1, dtype=np.int64)
     for v in order:
         v = int(v)
         if dense:  # the support is the whole row
-            idx, val, lab = slice(None), a[v], label
+            idx, val = slice(None), a[v]
         else:
             idx, val = a.row(v)
             lab = label[idx]
@@ -211,7 +197,8 @@ def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
             if in_aff[v] > 1.0:
                 continue
             if dense:
-                fits = np.all((in_aff + val <= 1.0) | (lab != t))
+                mem = members[t][: len(slots[t])]
+                fits = np.all(in_aff[mem] + val[mem] <= 1.0)
             else:
                 hit = lab == t
                 fits = np.all(in_aff[idx[hit]] + val[hit] <= 1.0)
@@ -224,8 +211,13 @@ def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
             in_aff = np.zeros(n)
             in_aff[idx] = val
             ledgers.append(in_aff)
+            if dense:
+                members.append(np.empty(n, dtype=np.int64))
+        if dense:
+            members[t][len(slots[t])] = v
+        else:
+            label[v] = t
         slots[t].append(v)
-        label[v] = t
     return slots
 
 
@@ -689,10 +681,7 @@ class SchedulingContext:
     # Scheduling kernels
     # ------------------------------------------------------------------
     def first_fit(
-        self,
-        order: Sequence[int] | None = None,
-        *,
-        active: Iterable[int] | None = None,
+        self, order: Sequence[int] | None = None
     ) -> tuple[tuple[int, ...], ...]:
         """First-fit slot assignment with exact incremental feasibility.
 
@@ -702,20 +691,9 @@ class SchedulingContext:
         first-fit loop (:func:`_first_fit_slots`) the repair anchor also
         runs.  Unstored sparse pairs contribute an exact 0.0, so on a
         complete pattern both backends give the same slots.
-
-        ``active`` restricts scheduling to a link-subset view: only the
-        given links are placed, in the global precedence order restricted
-        to them, and only their mutual affectances are ever compared —
-        the slots are what a context over just those links would produce.
-        ``order`` and ``active`` are mutually exclusive (an explicit order
-        already *is* the processed subset's order, but the full-universe
-        permutation check below would reject subsets, so the combination
-        is refused rather than half-honoured).
         """
         if order is None:
-            sequence = self._active_order(active)
-        elif active is not None:
-            raise LinkError("pass either an explicit order or active, not both")
+            sequence = self.order
         else:
             sequence = _validated_order(order, self.m)
         slots = _first_fit_slots(self.raw_affectance, sequence)
@@ -726,7 +704,6 @@ class SchedulingContext:
         *,
         admission: str = "bounded_growth",
         max_slots: int | None = None,
-        active: Iterable[int] | None = None,
     ) -> tuple[tuple[int, ...], ...]:
         """Schedule by repeatedly peeling off a capacity-approximate set.
 
@@ -780,17 +757,7 @@ class SchedulingContext:
         order = self.order
         threshold = 0.5
         guard = _LEDGER_GUARD_PER_LINK * self.m
-        if active is None:
-            ledger = _AffectanceLedger(a, full=True)
-        else:
-            # Link-subset view: seed the ledger with only the active
-            # members (ascending index, matching CSR storage order).  The
-            # admission scans then see exactly the sums a context over the
-            # subset would hold, and the remaining-set mask confines every
-            # round to the view.
-            ledger = _AffectanceLedger(a, full=False)
-            for v in np.unique(np.asarray(list(active), dtype=int)):
-                ledger.add(int(v))
+        ledger = _AffectanceLedger(a)
         slots: list[tuple[int, ...]] = []
         cap = max_slots if max_slots is not None else self.m
         while ledger.count and len(slots) < cap:

@@ -282,9 +282,10 @@ def reference_first_fit_every_member(a, order) -> list[list[int]]:
 
 
 class TestFirstFitKernel:
-    """The slot-label kernel compares only the members in a link's row
-    support; the every-member reference must give the same slots, in
-    admission order, on both backends and under any processing order."""
+    """The sparse kernel compares only the members in a link's row
+    support and the dense one gathers them from per-slot buffers; the
+    every-member reference must give the same slots, in admission order,
+    on both backends and under any processing order."""
 
     @given(
         name=st.sampled_from(

@@ -191,12 +191,6 @@ class TestFirstFitReference:
         rng = np.random.default_rng(seed)
         order = [int(v) for v in rng.permutation(n)]
         assert ctx.first_fit(order) == reference_first_fit_sparse(a, n, order)
-        active = np.flatnonzero(rng.random(n) < 0.6)
-        keep = set(active.tolist())
-        restricted = [v for v in default if v in keep]
-        assert ctx.first_fit(active=active) == reference_first_fit_sparse(
-            a, n, restricted
-        )
 
 
 class TestDynamicChurnIdentity:

@@ -95,7 +95,7 @@ class TestStaticThresholded:
     def test_first_fit_matches_every_member_reference(
         self, scenario, n, eps
     ):
-        """Default order, a permutation, and an active subset."""
+        """Default order and a permutation."""
         ctx = _sparse_ctx(scenario, n, eps)
         a = ctx.sparse_affectance.raw
 
@@ -108,10 +108,6 @@ class TestStaticThresholded:
         rng = np.random.default_rng(n)
         order = [int(v) for v in rng.permutation(n)]
         assert ctx.first_fit(order) == reference(order)
-        active = np.flatnonzero(rng.random(n) < 0.6)
-        keep = set(active.tolist())
-        restricted = [v for v in default if v in keep]
-        assert ctx.first_fit(active=active) == reference(restricted)
 
 
 class TestChurnThresholded:
