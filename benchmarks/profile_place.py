@@ -6,15 +6,19 @@ scheduling once the pattern build stops being the bottleneck.  Run it
 directly:
 
     PYTHONPATH=src python benchmarks/profile_place.py [m] [horizon]
-    PYTHONPATH=src python benchmarks/profile_place.py --events [m] [n_events]
+    PYTHONPATH=src python benchmarks/profile_place.py --events [m] [n_events] [--batch k]
 
-The second form profiles the batch-1 *event path* instead (see
+The second form profiles the *event path* instead (see
 :func:`run_event_path`): the served substrate of the ``serve_open_m10k``
 benchmark workload without the daemon, one departure plus one arrival
-per event, each fed through the driver and the repairer on its own.
-The anchor schedule is built before profiling starts, so only the
-per-event work is measured; the script prints the median ms/event and
-the Python-level calls per event next to the leaderboards.
+per event, fed through the driver and the repairer.  ``--batch k``
+merges the events into the chunks ``SchedulerDaemon(batch=k)`` applies
+(the ``replay_batch_m10k`` workload runs ``k=64``); the default is
+batch 1.  The anchor schedule is built before profiling starts, so only
+the per-event work is measured; the script prints the median ms/event,
+split into context mutation (``ChurnDriver.feed``) and repair
+(``OnlineRepairScheduler.apply``), and the Python-level calls per event
+next to the leaderboards.
 
 It replays the exact workload of
 ``benchmarks/bench_sparse.py::test_scale_sparse_churn_repair_m10k``
@@ -24,7 +28,7 @@ internal time, restricted to the repair/context/sparse modules so the
 scheduler's own overhead is legible next to the numpy kernels.
 
 The finding this file pins (and the fixes that landed with it): the
-worst Python-overhead entry was ``OnlineRepairScheduler._first_fit`` —
+worst Python-overhead entry was the repairer's first-fit anchor —
 the from-scratch anchor held slot members as growing Python *lists*, so
 every probe's ledger gather (``in_aff[slot] + av[slot]``) re-converted
 a list of up to thousands of ints into a fresh index array.  At m=10^4
@@ -35,11 +39,12 @@ the package's only first-fit loop
 fit on both backends and the anchor, and a probe no longer gathers over
 the slot at all: a slot-label array picks the members inside the
 link's row support, so a sparse probe is O(degree) (the m=10^5 anchor
-went 41-48 s → ~2 s).  The
-repeated ``np.sort(np.fromiter(set))`` conversion in ``_member_array``
-(the per-probe allocation the incremental path pays) was caught by the
-same profile and is now cached per slot.  Re-run this script to verify
-both frames have left the ``tottime`` leaderboard.
+went 41-48 s → ~2 s).  The repairer's own probes, departures and
+eviction scans read the same kind of label array, so on the batched
+path (``--batch 64``) repair costs less per event than the context
+mutation it follows.  Re-run this script to verify neither the anchor
+nor a per-slot member conversion is back on the ``tottime``
+leaderboard.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import time
 
 from repro.algorithms.context import DynamicContext, SchedulingContext
 from repro.algorithms.repair import OnlineRepairScheduler
-from repro.dynamics import ChurnDriver
+from repro.dynamics import ChurnDriver, ChurnEvent, chunk_events
 from repro.scenarios import build_dynamic_scenario
 
 #: Modules whose frames we want on the leaderboards.
@@ -87,17 +92,21 @@ def run_event_path(
     n_events: int = 1000,
     eps: float = 0.2,
     radius: float = 12.0,
+    batch: int = 1,
     profiler: cProfile.Profile | None = None,
-) -> list[float]:
-    """Replay ``n_events`` batch-1 churn events; seconds per event.
+) -> tuple[list[float], list[float]]:
+    """Replay ``n_events`` churn events; per-event seconds of each layer.
 
     The ``serve_open_m10k`` substrate: ``planar_uniform`` poisson churn
     at ``churn_rate=1.0`` (every event is one departure plus one
     arrival), a sparse context at tail tolerance ``eps`` with the
     interaction radius pinned, and the first-fit repairer the daemon
-    wires by default.  Each event is fed and repaired on its own, as the
-    daemon's batch-1 worker does.  ``profiler``, if given, is enabled
-    around the event loop only — never around the anchor build.
+    wires by default.  Events are merged into daemon chunks of at most
+    ``batch`` (:func:`repro.dynamics.chunk_events`); each chunk is fed
+    to the driver and then repaired.  Returns, per chunk, the context
+    mutation and the repair seconds divided by the chunk's event count.
+    ``profiler``, if given, is enabled around the event loop only —
+    never around the anchor build.
     """
     scn = build_dynamic_scenario(
         "poisson_churn",
@@ -113,21 +122,30 @@ def run_event_path(
     )
     driver = ChurnDriver(dyn, scn)
     scheduler = OnlineRepairScheduler(dyn, anchor=True)
-    times = []
+    chunks = chunk_events(scn.events, batch, driver.next_id)
+    mutate, repair = [], []
     if profiler is not None:
         profiler.enable()
-    for ev in scn.events:
+    for chunk in chunks:
         t0 = time.perf_counter()
-        gone, fresh = driver.feed(ev)
+        gone, fresh = driver.feed(ChurnEvent.merged(chunk))
+        t1 = time.perf_counter()
         scheduler.apply(fresh, gone)
-        times.append(time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        mutate.append((t1 - t0) / len(chunk))
+        repair.append((t2 - t1) / len(chunk))
     if profiler is not None:
         profiler.disable()
-    return times
+    return mutate, repair
 
 
 def main() -> None:
     args = sys.argv[1:]
+    batch = 1
+    if "--batch" in args:
+        at = args.index("--batch")
+        batch = int(args[at + 1])
+        del args[at : at + 2]
     events = bool(args) and args[0] == "--events"
     if events:
         args = args[1:]
@@ -137,13 +155,17 @@ def main() -> None:
         n_events = int(args[1]) if len(args) > 1 else 1000
         # Untimed by the profiler first: cProfile's per-call hook would
         # inflate the per-event wall time it is compared against.
-        times = run_event_path(m, n_events)
-        run_event_path(m, n_events, profiler=profiler)
+        mutate, repair = run_event_path(m, n_events, batch=batch)
+        run_event_path(m, n_events, batch=batch, profiler=profiler)
         stats = pstats.Stats(profiler)
+        per_event = [a + b for a, b in zip(mutate, repair)]
         print(
-            f"m={m} batch-1 event path: {len(times)} events, median "
-            f"{1e3 * statistics.median(times):.3f} ms/event, "
-            f"{stats.total_calls / len(times):.0f} Python calls/event\n"
+            f"m={m} batch-{batch} event path: {n_events} events in "
+            f"{len(per_event)} chunks, median "
+            f"{1e3 * statistics.median(per_event):.3f} ms/event "
+            f"(context mutation {1e3 * statistics.median(mutate):.3f}, "
+            f"repair {1e3 * statistics.median(repair):.3f}), "
+            f"{stats.total_calls / n_events:.0f} Python calls/event\n"
         )
     else:
         horizon = int(args[1]) if len(args) > 1 else 200

@@ -64,7 +64,6 @@ __all__ = [
     "DynamicContext",
     "Schedule",
     "SchedulingContext",
-    "combined_affectance_within",
     "slot_admission_sums",
 ]
 
@@ -112,23 +111,6 @@ class _AffectanceLedger:
             self.in_sum -= self.a.rows_sum(idx)
             self.out_sum -= self.a.cols_sum(idx)
         self.count -= idx.size
-
-
-def combined_affectance_within(
-    a: np.ndarray, members: Sequence[int] | np.ndarray, v: int
-) -> float:
-    """``a_M(v) + a_v(M)`` over ``members`` — the admission quantity.
-
-    The scalar Algorithm 1's greedy admission scan checks against its
-    threshold for each candidate (with ``a`` the *clipped* affectance,
-    the paper's accounting).  Shared by the capacity-repair probes so
-    the online admission rule is evaluated by the same gathers the
-    ledger maintains in bulk.
-    """
-    idx = np.asarray(members, dtype=int)
-    if not isinstance(a, np.ndarray):
-        return float(a.gather_col(idx, v).sum() + a.gather_row(v, idx).sum())
-    return float(a[idx, v].sum() + a[v, idx].sum())
 
 
 def slot_admission_sums(

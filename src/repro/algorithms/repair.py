@@ -1,26 +1,27 @@
 """Online schedule repair under churn: keep a feasible slot assignment alive.
 
-The ROADMAP's online-scheduler north star: every consumer of the
-incremental :class:`~repro.algorithms.context.DynamicContext` so far
-still *rescheduled from scratch* after each churn event — an O(m)
-matrix update followed by an O(m * slots) rebuild.  The schedulers here
-close that gap.  :class:`OnlineRepairScheduler` maintains a partition of
-the context's active links into affectance-feasible slots (the same
-exact feasibility rule as
+:class:`OnlineRepairScheduler` maintains a partition of the active
+links of a :class:`~repro.algorithms.context.DynamicContext` into
+affectance-feasible slots (the exact feasibility rule of
 :meth:`~repro.algorithms.context.SchedulingContext.first_fit`) and
-repairs it *locally* per event:
+repairs it *locally* per event instead of rescheduling from scratch
+(an O(m * slots) rebuild).  Membership is one capacity-sized
+``label`` array (the schedule slot of each scheduled context slot, -1
+otherwise) plus per-slot sizes, so on the sparse backend every
+per-event path reads only a link's stored row/column support:
 
-* **departures** are O(1) bookkeeping per link — the departed link is
-  dropped from its slot's member set, and the slot's ledger (its running
-  in-affectance sums) is simply marked stale.  Removing a link can never
-  break feasibility, and the context has already zeroed the departed
-  rows, so the ledger is recomputed exactly — one vectorized row sum —
-  the next time the slot is probed.
+* **departures** drop the whole batch from the labels first, then bring
+  each touched slot's ledger (its running in-affectance sums) back to
+  exact: in place at the departed row's support when the context
+  recorded it, otherwise by marking the ledger stale for a full
+  recompute on the next probe.  Removing a link can never break
+  feasibility.
 * **arrivals** are greedily placed into the first existing slot that
-  stays feasible with them added.  Each probe is two vectorized
-  comparisons against the slot's ledger sums (the arrival's in-affectance
-  from the slot, and every member's load with the arrival's row added);
-  a new slot is opened only when every existing slot rejects the link.
+  stays feasible with them added.  A probe sums the arrival's
+  in-affectance over the slot members in its column support and checks
+  the load of the members in its row support with the arrival's row
+  added — O(degree); a dense probe gathers over every member.  A new
+  slot is opened only when every existing slot rejects the link.
 * an optional **bounded cascade** (``cascade=``): when no slot admits an
   arrival directly, evict the *cheapest* single conflicting link whose
   removal makes some existing slot feasible for the arrival, place the
@@ -73,7 +74,6 @@ from repro.algorithms.context import (
     DynamicContext,
     Schedule,
     _first_fit_slots,
-    combined_affectance_within,
     slot_admission_sums,
 )
 from repro.core.affectance import in_affectances_within
@@ -222,17 +222,6 @@ class OnlineRepairScheduler:
         #: Slot-count after construction and after every applied event —
         #: the measured trajectory benchmarks plot against rebuilds.
         self.slot_trajectory: list[int] = []
-        #: Schedule slots as sets of context slot indices (may be empty —
-        #: an emptied slot is reused by the next arrival that fits it).
-        self._members: list[set[int]] = []
-        #: Per schedule slot, the running in-affectance sums a_slot(v)
-        #: over all context slots, or None when stale (departure since
-        #: last probe) — recomputed exactly from the padded matrix on
-        #: the next probe, because departed rows are already zeroed.
-        self._in_sum: list[np.ndarray | None] = []
-        self._slot_of: dict[int, int] = {}
-        self._deferred: list[int] = []
-        self._compiled: tuple[np.ndarray, ...] | None = None
         self._priorities: np.ndarray | None = None
         self._event_evictions = 0
         #: Links being retried from the deferred queue in the current
@@ -240,11 +229,6 @@ class OnlineRepairScheduler:
         #: it never really left, so it must not re-count the deferral
         #: episode in ``stats.deferred``.
         self._requeued: frozenset[int] = frozenset()
-        #: Per schedule slot, the sorted member array (None when the
-        #: membership changed since last build) — probes and eviction
-        #: scans gather against it, so rebuilding it per probe would pay
-        #: a set conversion per slot visited (profiled hotspot).
-        self._member_cache: list[np.ndarray | None] = []
         if anchor:
             self._install(self._from_scratch())
             self.slot_trajectory.append(self.slot_count)
@@ -260,13 +244,13 @@ class OnlineRepairScheduler:
     @property
     def slot_count(self) -> int:
         """Number of non-empty slots in the maintained schedule."""
-        return sum(1 for s in self._members if s)
+        return sum(1 for n in self._sizes if n)
 
     @property
     def schedule(self) -> Schedule:
         """The maintained schedule (non-empty slots, members sorted)."""
         return Schedule(
-            tuple(tuple(sorted(s)) for s in self._members if s)
+            tuple(tuple(mem.tolist()) for mem in self.active_schedule)
         )
 
     @property
@@ -283,9 +267,9 @@ class OnlineRepairScheduler:
         """
         if self._compiled is None:
             self._compiled = tuple(
-                np.sort(np.fromiter(s, dtype=int))
-                for s in self._members
-                if s
+                self._member_array(t)
+                for t, n in enumerate(self._sizes)
+                if n
             )
         return self._compiled
 
@@ -331,7 +315,9 @@ class OnlineRepairScheduler:
         when the link is unscheduled — deferred, inactive or unknown).
         Indexes the raw slot list including empty entries, matching
         :attr:`schedule` only while no slot has drained."""
-        return self._slot_of.get(int(s))
+        s = int(s)
+        t = int(self._label[s]) if 0 <= s < self._label.size else -1
+        return None if t < 0 else t
 
     def export_state(self) -> dict[str, np.ndarray]:
         """The maintained schedule as flat arrays (checkpoint payload).
@@ -344,18 +330,14 @@ class OnlineRepairScheduler:
         incrementally accumulated values and flip a borderline
         admission), the deferred queue in retry order, the stats
         counters (rebuild and compaction anchors fire on
-        ``stats.events % k``) and the slot trajectory.  Member caches are
-        derived data and are rebuilt on demand.
+        ``stats.events % k``) and the slot trajectory.
         """
-        members = [self._member_array(t) for t in range(len(self._members))]
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        if members:
-            np.cumsum([a.size for a in members], out=offsets[1:])
-        flat = (
-            np.concatenate(members).astype(np.int64)
-            if members
-            else np.empty(0, dtype=np.int64)
-        )
+        label = self._labels()
+        placed = np.flatnonzero(label >= 0)
+        # Slot by slot, each slot's members ascending.
+        flat = placed[np.argsort(label[placed], kind="stable")]
+        offsets = np.zeros(len(self._sizes) + 1, dtype=np.int64)
+        np.cumsum(self._sizes, out=offsets[1:])
         cap = self.dyn.capacity
         # A ledger held at a stale capacity is recomputed on the next
         # probe anyway; exporting it as stale keeps the stack rectangular.
@@ -424,44 +406,38 @@ class OnlineRepairScheduler:
                 "are not active in this context — the checkpoint does "
                 "not match the context's churn state"
             )
-        slots = [
-            {int(v) for v in flat[offsets[t] : offsets[t + 1]]}
-            for t in range(offsets.size - 1)
-        ]
-        slot_of = {v: t for t, s in enumerate(slots) for v in s}
-        if len(slot_of) != flat.size or flat.size != int(offsets[-1]):
+        sizes = np.diff(offsets)
+        if (
+            np.unique(flat).size != flat.size
+            or flat.size != int(offsets[-1])
+            or np.any(sizes < 0)
+        ):
             raise LinkError(
                 "checkpointed schedule assigns some link to two slots"
             )
         stale = np.asarray(state["repair_ledger_stale"], dtype=bool)
         ledgers = np.asarray(state["repair_ledgers"], dtype=float)
-        if stale.shape != (len(slots),):
+        if stale.shape != (sizes.size,):
             raise LinkError(
                 "checkpointed ledger mask does not cover the schedule"
             )
-        cap = self.dyn.capacity
-        in_sum: list[np.ndarray | None] = []
+        self._install(
+            [flat[offsets[t] : offsets[t + 1]] for t in range(sizes.size)]
+        )
         fresh = iter(ledgers)
-        for t in range(len(slots)):
-            if stale[t]:
-                in_sum.append(None)
-                continue
-            v = next(fresh, None)
-            # A ledger saved at a different capacity is merely stale:
-            # the next probe recomputes it exactly from the matrices.
-            in_sum.append(
-                v.copy() if v is not None and v.shape == (cap,) else None
-            )
-        self._members = slots
-        self._slot_of = slot_of
-        self._in_sum = in_sum
-        self._member_cache = [None] * len(slots)
+        saved = [None if is_stale else next(fresh, None) for is_stale in stale]
+        # A ledger saved at a different capacity is merely stale: the
+        # next probe recomputes it exactly from the matrices.
+        cap = self.dyn.capacity
+        self._in_sum = [
+            v.copy() if v is not None and v.shape == (cap,) else None
+            for v in saved
+        ]
         self._deferred = deferred
         self.stats = RepairStats.from_array(state["repair_stats"])
         self.slot_trajectory = [
             int(v) for v in state["repair_trajectory"]
         ]
-        self._compiled = None
 
     # ------------------------------------------------------------------
     # Event application
@@ -487,10 +463,11 @@ class OnlineRepairScheduler:
         if not arrived and not departed:
             return
         self.stats.events += 1
+        label = self._labels()
         gone = [
             s
             for s in dict.fromkeys(int(x) for x in departed)
-            if s in self._slot_of
+            if label[s] >= 0
         ]
         if (
             self.rebuild_every is not None
@@ -504,18 +481,14 @@ class OnlineRepairScheduler:
         self.on_departures(gone)
         active = self.dyn.active_mask
         retry = [
-            s
-            for s in self._deferred
-            if active[s] and s not in self._slot_of
+            s for s in self._deferred if active[s] and label[s] < 0
         ]
         self._deferred = []
         seen = set(retry)
         fresh = [
             s
             for s in dict.fromkeys(int(x) for x in arrived)
-            if active[s]
-            and s not in self._slot_of
-            and s not in seen
+            if active[s] and label[s] < 0 and s not in seen
         ]
         # Retries re-enter the queue on failure without re-counting the
         # deferral episode (see ``stats.deferred``); the marker set only
@@ -531,32 +504,44 @@ class OnlineRepairScheduler:
     def on_departures(self, departed: Sequence[int]) -> None:
         """Drop departed links: O(degree) bookkeeping per link.
 
-        When the context recorded the departed row's pattern (sparse
-        backend; see :attr:`DynamicContext.last_removed_rows`), the
-        slot's ledger is *repaired in place*: only the entries the
-        departed row touched are recomputed — exactly, in ascending
-        member order, from the already-zeroed matrix — so the slot never
-        goes stale and the next probe pays O(degree) instead of an
-        O(nnz) whole-slot recompute.  Without the pattern (dense
-        backend, or departures applied outside a context removal) the
-        slot is marked stale and the next probe recomputes it in full,
-        as before.
+        The whole batch leaves the labels before any ledger is touched:
+        a departed link's context slot may already hold a new arrival
+        (the driver removes the batch, then adds), and a ledger repaired
+        while that slot still counted as a member would sum the new
+        link's row into it.
+
+        When the context recorded the departed rows' patterns (sparse
+        backend; :attr:`DynamicContext.last_removed_rows`), each touched
+        ledger is then *repaired in place* at those entries — exactly,
+        in ascending member order, from the already-zeroed matrix — so
+        the next probe pays O(degree), not a whole-slot recompute.
+        Otherwise (dense backend, or departures applied outside a
+        context removal) the slot is marked stale and recomputed in full
+        on the next probe.
         """
-        removed = getattr(self.dyn, "last_removed_rows", None) or {}
-        for s in departed:
-            s = int(s)
-            t = self._slot_of.pop(s, None)
+        dropped = []
+        for s in map(int, departed):
+            t = self.slot_of(s)
             if t is None:
                 raise LinkError(
                     f"context slot {s} is not in the maintained schedule"
                 )
-            self._members[t].discard(s)
-            self._member_drop(t, s)
+            self._drop(s, t)
+            dropped.append((s, t))
+        removed = getattr(self.dyn, "last_removed_rows", None) or {}
+        touched: dict[int, list[np.ndarray]] = {}
+        for s, t in dropped:
             pattern = removed.get(s)
             if pattern is None or not self._eager_repair_ok(t):
                 self._in_sum[t] = None  # stale; recompute on next probe
             else:
-                self._repair_ledger(t, pattern)
+                touched.setdefault(t, []).append(pattern)
+        # One repair per slot over the union of its departed patterns:
+        # each position is recomputed from scratch, so the floats do not
+        # depend on the grouping.
+        for t, patterns in touched.items():
+            if self._in_sum[t] is not None:
+                self._repair_ledger(t, np.unique(np.concatenate(patterns)))
         if departed:
             self.stats.departures += len(departed)
             self._compiled = None
@@ -570,9 +555,10 @@ class OnlineRepairScheduler:
         budget per call when driven directly.
         """
         self._event_evictions = 0
+        label = self._labels()
         for s in arrived:
             s = int(s)
-            if s in self._slot_of:
+            if label[s] >= 0:
                 raise LinkError(
                     f"context slot {s} is already scheduled; apply "
                     "departures before arrivals"
@@ -593,10 +579,11 @@ class OnlineRepairScheduler:
         """Slot ``t``'s in-affectance sums, recomputed when stale.
 
         Ledger entries are exact at member positions (additions maintain
-        them; a departure marks the slot stale and the recompute below
-        reads the already-zeroed matrix).  Entries at non-member
-        positions may be stale — probes never read them: a candidate's
-        own in-affectance is always gathered fresh from the matrix.
+        them; a departure repairs them in place or marks the slot stale,
+        and the recompute below reads the already-zeroed matrix).
+        Entries at non-member positions may be stale — probes never read
+        them: a candidate's own in-affectance is always summed fresh
+        from the matrix.
         """
         v = self._in_sum[t]
         cap = self.dyn.capacity
@@ -607,31 +594,53 @@ class OnlineRepairScheduler:
             self._in_sum[t] = v
         return v
 
+    def _labels(self) -> np.ndarray:
+        """The label array, grown to the context's current capacity."""
+        grow = self.dyn.capacity - self._label.size
+        if grow > 0:
+            self._label = np.pad(self._label, (0, grow), constant_values=-1)
+        return self._label
+
     def _member_array(self, t: int) -> np.ndarray:
-        """Slot ``t``'s sorted member array, cached between mutations."""
+        """Slot ``t``'s ascending member array, cached between changes."""
         mem = self._member_cache[t]
         if mem is None:
-            mem = np.sort(np.fromiter(self._members[t], dtype=int))
+            mem = np.flatnonzero(self._labels() == t)
             self._member_cache[t] = mem
         return mem
 
-    def _member_add(self, t: int, s: int) -> None:
-        """Keep slot ``t``'s sorted cache current as ``s`` joins.
+    def _join(self, s: int, t: int) -> None:
+        """Label context slot ``s`` as a member of schedule slot ``t``."""
+        self._label[s] = t
+        self._sizes[t] += 1
+        self._member_cache[t] = None
 
-        A sorted insert of a value known absent reproduces the rebuilt
-        cache exactly, at O(size) instead of O(size log size).
+    def _drop(self, s: int, t: int) -> None:
+        """Counterpart of :meth:`_join` for ``s`` leaving slot ``t``."""
+        self._label[s] = -1
+        self._sizes[t] -= 1
+        self._member_cache[t] = None
+
+    def _slot_terms(
+        self, a, v: int, t: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``v``'s affectance terms within slot ``t`` of matrix ``a``.
+
+        Returns ``(rows, a[rows, v], cols, a[v, cols])``.  On a sparse
+        view ``rows``/``cols`` are the members inside ``v``'s stored
+        column/row support, picked through the label array — O(degree);
+        every other member's term is an unstored zero.  A dense row's
+        support is the whole row, so both are every member, ascending.
         """
-        mem = self._member_cache[t]
-        if mem is not None:
-            pos = int(np.searchsorted(mem, s))
-            self._member_cache[t] = np.insert(mem, pos, s)
-
-    def _member_drop(self, t: int, s: int) -> None:
-        """Counterpart of :meth:`_member_add` for a departing ``s``."""
-        mem = self._member_cache[t]
-        if mem is not None:
-            pos = int(np.searchsorted(mem, s))
-            self._member_cache[t] = np.delete(mem, pos)
+        if isinstance(a, np.ndarray):
+            mem = self._member_array(t)
+            return mem, a[mem, v], mem, a[v, mem]
+        label = self._labels()
+        ci, cv = a.col(v)
+        ri, rv = a.row(v)
+        hc = label[ci] == t
+        hr = label[ri] == t
+        return ci[hc], cv[hc], ri[hr], rv[hr]
 
     def _eager_repair_ok(self, t: int) -> bool:
         """May slot ``t``'s ledger be repaired in place (vs marked stale)?
@@ -648,7 +657,7 @@ class OnlineRepairScheduler:
         return (
             led is not None
             and led.shape[0] == cap
-            and len(self._members[t]) * cap > _DENSE_BLOCK_LIMIT
+            and self._sizes[t] * cap > _DENSE_BLOCK_LIMIT
         )
 
     def _repair_ledger(self, t: int, positions: np.ndarray) -> None:
@@ -657,50 +666,29 @@ class OnlineRepairScheduler:
         Each position is summed from scratch over the slot's current
         members in ascending order — the exact accumulation order of the
         whole-slot recompute in :meth:`_ledger` — reading the maintained
-        column adjacency.  Entries outside ``positions`` keep their
-        maintained values: the departed row contributed nothing there,
-        so they carry the same additive history they would hold had the
-        departure never overlapped them.
+        column adjacency and keeping the entries whose row is labelled
+        ``t``.  Entries outside ``positions`` keep their maintained
+        values: the departed row contributed nothing there, so they carry
+        the same additive history they would hold had the departure
+        never overlapped them.
         """
-        led = self._in_sum[t]
         if positions.size == 0:
             return
-        members = self._member_array(t)
-        if members.size == 0:
-            led[positions] = 0.0
-            return
         a = self.dyn.raw_affectance
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        lens = []
-        for p in positions.tolist():
-            ci, cv = a.col(p)
-            parts_i.append(ci)
-            parts_v.append(cv)
-            lens.append(ci.size)
-        cat_i = np.concatenate(parts_i)
-        led[positions] = 0.0
-        if cat_i.size:
-            cat_v = np.concatenate(parts_v)
-            ranks = np.repeat(
-                np.arange(len(lens), dtype=np.int64), lens
-            )
-            pos = np.searchsorted(members, cat_i)
-            hit = (
-                members[np.minimum(pos, members.size - 1)] == cat_i
-            )
-            # Column indices ascend, so each position's surviving
-            # values sit in ascending member order; bincount's C loop
-            # accumulates weights sequentially in input order, so the
-            # per-position sums match the recompute's scatter order
-            # float for float.
-            led[positions] = np.bincount(
-                ranks[hit],
-                weights=cat_v[hit],
-                minlength=len(lens),
-            )
+        cols = [a.col(p) for p in positions.tolist()]
+        cat_i = np.concatenate([i for i, _ in cols])
+        cat_v = np.concatenate([v for _, v in cols])
+        ranks = np.repeat(np.arange(len(cols)), [i.size for i, _ in cols])
+        hit = self._labels()[cat_i] == t
+        # Column indices ascend, so each position's surviving values sit
+        # in ascending member order; bincount's C loop accumulates
+        # weights sequentially in input order, so the per-position sums
+        # match the recompute's scatter order float for float.
+        self._in_sum[t][positions] = np.bincount(
+            ranks[hit], weights=cat_v[hit], minlength=len(cols)
+        )
 
-    def _admits(self, v: int, members: np.ndarray) -> bool:
+    def _admits(self, v: int, t: int) -> bool:
         """Extra admission rule hook beyond exact feasibility.
 
         The base scheduler maintains first-fit slots, so feasibility is
@@ -712,29 +700,27 @@ class OnlineRepairScheduler:
     def _try_place(self, v: int, t: int) -> bool:
         """Admit ``v`` into slot ``t`` when the slot stays feasible.
 
-        Two vectorized comparisons against the slot's ledger sums — the
-        exact rule of :meth:`SchedulingContext.first_fit`: the slot's
-        in-affectance on ``v`` stays at most 1, and every member's load
-        with ``v``'s row added stays at most 1 — plus the subclass
-        admission hook.
+        The exact rule of :meth:`SchedulingContext.first_fit`: the
+        slot's in-affectance on ``v`` stays at most 1, and every
+        member's load with ``v``'s row added stays at most 1 — plus the
+        subclass admission hook.  Both sums read only the members inside
+        ``v``'s column/row support (:meth:`_slot_terms`): a member
+        outside the row support gains an exact ``+0.0`` and already
+        carries load at most 1, so skipping it changes no comparison.
         """
         a = self.dyn.raw_affectance
-        members = self._member_array(t)
-        iv = float(gather_col(a, members, v).sum())
+        _, col, cols, row = self._slot_terms(a, v, t)
+        iv = float(col.sum())
         if iv > 1.0:
             return False
         ledger = self._ledger(t)
-        if members.size and np.any(
-            ledger[members] + gather_row(a, v, members) > 1.0
-        ):
+        if cols.size and np.any(ledger[cols] + row > 1.0):
             return False
-        if not self._admits(v, members):
+        if not self._admits(v, t):
             return False
         ledger[v] = iv  # fresh value; the row add below leaves it intact
         add_row_to(ledger, a, v)
-        self._members[t].add(v)
-        self._member_add(t, v)
-        self._slot_of[v] = t
+        self._join(v, t)
         return True
 
     def _place(self, v: int, budget: int) -> bool:
@@ -748,8 +734,8 @@ class OnlineRepairScheduler:
             self.max_slots is not None
             and self.slot_count >= self.max_slots
         )
-        for t in range(len(self._members)):
-            if at_cap and not self._members[t]:
+        for t in range(len(self._sizes)):
+            if at_cap and not self._sizes[t]:
                 continue
             if self._try_place(v, t):
                 return True
@@ -778,26 +764,26 @@ class OnlineRepairScheduler:
             if v not in self._requeued:
                 self.stats.deferred += 1
             return False
-        self._members.append({v})
+        self._sizes.append(0)
         self._in_sum.append(dense_row(self.dyn.raw_affectance, v))
         self._member_cache.append(None)
-        self._slot_of[v] = len(self._members) - 1
+        self._join(v, len(self._sizes) - 1)
         self.stats.opened += 1
         return True
 
     def _eviction_mask(
-        self, v: int, members: np.ndarray, col: np.ndarray, iv: float
+        self, v: int, t: int, cand: np.ndarray, col: np.ndarray, iv: float
     ) -> np.ndarray:
-        """Per-member mask: may ``v`` join if this member leaves?
+        """Per-candidate mask: may ``v`` join slot ``t`` if it leaves?
 
-        ``col`` is ``a[members, v]`` and ``iv`` its sum; the base rule
-        is the candidate side of exact feasibility without the leaver.
-        An infinite blocker (raw affectance is ``inf`` when a member's
-        sender sits on ``v``'s receiver) makes the subtraction NaN; the
-        comparison is then False — a conservative refusal to evict,
-        since removing one of several infinite blockers cannot help and
-        the subtraction shortcut cannot tell that case from the last
-        one.
+        ``col`` is ``a[cand, v]`` and ``iv`` the slot's whole sum; the
+        base rule is the candidate side of exact feasibility without the
+        leaver.  An infinite blocker (raw affectance is ``inf`` when a
+        member's sender sits on ``v``'s receiver) makes the subtraction
+        NaN; the comparison is then False — a conservative refusal to
+        evict, since removing one of several infinite blockers cannot
+        help and the subtraction shortcut cannot tell that case from the
+        last one.
         """
         with np.errstate(invalid="ignore"):
             return iv - col <= 1.0
@@ -810,11 +796,7 @@ class OnlineRepairScheduler:
         Without priorities every first component ties at 0.0, which
         degenerates to the historical shortest-link rule.
         """
-        prio = (
-            float(self._priorities[u])
-            if self._priorities is not None
-            else 0.0
-        )
+        prio = 0.0 if self._priorities is None else float(self._priorities[u])
         return (prio, float(self.dyn.lengths[u]), u, t)
 
     def _find_eviction(self, v: int) -> tuple[int, int] | None:
@@ -825,32 +807,51 @@ class OnlineRepairScheduler:
         subclass admission rule).  Only *hot* members — those whose load
         with ``v`` added exceeds 1 — can veto anyone (``base[w] <= 1``
         stays ``<= 1`` after subtracting a nonnegative affectance), so
-        the check materializes just the (members x hot) comparison per
-        slot; the booleans match the full (members x members) sweep
-        exactly.  Cheapest: smallest :meth:`_eviction_key`.
+        the check materializes just the (candidates x hot) comparison
+        per slot.  Cheapest: smallest :meth:`_eviction_key`.
+
+        Every slot already rejected ``v`` (:meth:`_place` probes first),
+        so some term must drop for ``u`` to pass: ``v``'s in-affectance
+        needs ``a[u, v] > 0``, a hot member ``w`` needs ``a[u, w] > 0``,
+        and the capacity threshold needs ``a[u, v]`` or ``a[v, u]``.  On
+        a sparse view the mask is therefore evaluated only on members in
+        the stored support of ``v`` or of a hot member — O(degree) — and
+        passes exactly the members the full sweep would; a dense view
+        evaluates it on every member.
         """
         a = self.dyn.raw_affectance
         best: tuple | None = None  # (key, t, u)
-        for t, member_set in enumerate(self._members):
-            if not member_set:
+        for t, size in enumerate(self._sizes):
+            if not size:
                 continue
-            members = self._member_array(t)
-            col = gather_col(a, members, v)
-            iv = col.sum()
+            rows, col, cols, row = self._slot_terms(a, v, t)
+            iv = float(col.sum())
             ledger = self._ledger(t)
-            base = ledger[members] + gather_row(a, v, members)
-            hot = np.flatnonzero(base > 1.0)
-            feasible = self._eviction_mask(v, members, col, float(iv))
+            base = ledger[cols] + row
+            is_hot = base > 1.0
+            hot = cols[is_hot]
+            if isinstance(a, np.ndarray):
+                cand = cols  # every member
+            else:
+                label = self._labels()
+                parts = [rows, cols]
+                for w in hot.tolist():
+                    wi = a.col(w)[0]
+                    parts.append(wi[label[wi] == t])
+                cand = np.unique(np.concatenate(parts))
+            feasible = self._eviction_mask(
+                v, t, cand, gather_col(a, cand, v), iv
+            )
             if hot.size:
-                block = member_block(a, members, members[hot])
+                block = member_block(a, cand, hot)
                 with np.errstate(invalid="ignore"):
                     # inf - inf -> NaN -> False: conservative refusal,
                     # same contract as the base _eviction_mask.
-                    ok = base[hot][None, :] - block <= 1.0  # [u, w-hot]
-                ok[hot, np.arange(hot.size)] = True  # u itself is leaving
+                    ok = base[is_hot][None, :] - block <= 1.0  # [u, w-hot]
+                # u itself is leaving
+                ok[np.searchsorted(cand, hot), np.arange(hot.size)] = True
                 feasible &= ok.all(axis=1)
-            for i in np.flatnonzero(feasible):
-                u = int(members[i])
+            for u in cand[feasible].tolist():
                 key = self._eviction_key(u, t)
                 if best is None or key < best[0]:
                     best = (key, t, u)
@@ -862,9 +863,7 @@ class OnlineRepairScheduler:
         at the positions ``u``'s live row touches — same exact
         ascending-member recompute as a departure — never a subtractive
         update, so the sums stay drift-free."""
-        self._members[t].discard(u)
-        del self._slot_of[u]
-        self._member_drop(t, u)
+        self._drop(u, t)
         a = self.dyn.raw_affectance
         if isinstance(a, np.ndarray) or not self._eager_repair_ok(t):
             self._in_sum[t] = None  # dense/stale: full recompute on probe
@@ -872,22 +871,13 @@ class OnlineRepairScheduler:
             self._repair_ledger(t, a.row(u)[0])
 
     def _from_scratch(self) -> list[list[int]]:
-        """The anchor schedule over the current active set.
-
-        The base scheduler anchors with first-fit;
-        :class:`CapacityRepairScheduler` overrides with capacity
-        peeling.  Both run entirely off the maintained padded matrices —
-        no affectance rebuild ever happens.
-        """
-        return self._first_fit()
-
-    def _first_fit(self) -> list[list[int]]:
-        """From-scratch first-fit over the active links, shortest first.
+        """The anchor: first fit over the active links, shortest first.
 
         Runs entirely off the maintained padded matrices (no affectance
         build) through the same loop and order (length, then slot index)
         as :meth:`SchedulingContext.first_fit`, so on a quiescent context
         the result matches the static scheduler slot for slot.
+        :class:`CapacityRepairScheduler` overrides with capacity peeling.
         """
         dyn = self.dyn
         act = dyn.active_slots
@@ -895,14 +885,29 @@ class OnlineRepairScheduler:
         return _first_fit_slots(dyn.raw_affectance, order)
 
     def _install(self, slots: list[list[int]]) -> None:
-        self._members = [set(s) for s in slots]
-        self._in_sum = [None] * len(slots)
-        self._member_cache = [None] * len(slots)
-        self._slot_of = {
-            v: t for t, slot in enumerate(slots) for v in slot
-        }
-        self._deferred = []
-        self._compiled = None
+        """Replace the schedule with ``slots`` (ledgers start stale)."""
+        sizes = [len(s) for s in slots]
+        #: The schedule slot of every context slot (-1: unscheduled),
+        #: grown with the context's capacity, and each slot's member
+        #: count (a slot may be empty — an emptied slot is reused by the
+        #: next arrival that fits it).
+        self._label = np.full(self.dyn.capacity, -1, dtype=np.int64)
+        if slots:
+            self._label[np.concatenate(slots).astype(np.int64)] = np.repeat(
+                np.arange(len(slots)), sizes
+            )
+        self._sizes = sizes
+        #: Per schedule slot, the running in-affectance sums a_slot(v)
+        #: over all context slots, or None when stale — recomputed
+        #: exactly from the padded matrix on the next probe, because
+        #: departed rows are already zeroed.
+        self._in_sum: list[np.ndarray | None] = [None] * len(slots)
+        #: Per schedule slot, the ascending member array, built from the
+        #: labels on first use after a membership change (None until
+        #: then) — dense probes and full recomputes gather against it.
+        self._member_cache: list[np.ndarray | None] = [None] * len(slots)
+        self._deferred: list[int] = []
+        self._compiled: tuple[np.ndarray, ...] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -1015,28 +1020,25 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         slots = dyn.freeze().repeated_capacity(admission=self.admission)
         return [[int(act[i]) for i in slot] for slot in slots]
 
-    def _admits(self, v: int, members: np.ndarray) -> bool:
-        """The Algorithm-1 admission threshold for a late arrival."""
-        if not members.size:
+    def _admits(self, v: int, t: int) -> bool:
+        """The Algorithm-1 admission threshold for a late arrival: the
+        clipped ``a_M(v) + a_v(M)`` against slot ``t``'s members ``M``,
+        summed over ``v``'s stored support like the feasibility terms."""
+        if not self._sizes[t]:
             return True
-        combined = combined_affectance_within(
-            self.dyn.affectance, members, v
-        )
-        return combined <= self.ADMISSION_THRESHOLD
+        _, col, _, row = self._slot_terms(self.dyn.affectance, v, t)
+        return float(col.sum() + row.sum()) <= self.ADMISSION_THRESHOLD
 
     def _eviction_mask(
-        self, v: int, members: np.ndarray, col: np.ndarray, iv: float
+        self, v: int, t: int, cand: np.ndarray, col: np.ndarray, iv: float
     ) -> np.ndarray:
-        """Feasibility *and* threshold for ``v`` if the member leaves."""
-        mask = super()._eviction_mask(v, members, col, iv)
-        if not members.size:
-            return mask
+        """Feasibility *and* threshold for ``v`` if the candidate leaves."""
+        mask = super()._eviction_mask(v, t, cand, col, iv)
         ac = self.dyn.affectance
-        col_c = gather_col(ac, members, v)
-        row_c = gather_row(ac, v, members)
-        combined_without = (
-            (col_c.sum() - col_c) + (row_c.sum() - row_c)
-        )
+        _, col_s, _, row_s = self._slot_terms(ac, v, t)
+        col_c = gather_col(ac, cand, v)
+        row_c = gather_row(ac, v, cand)
+        combined_without = (col_s.sum() - col_c) + (row_s.sum() - row_c)
         return mask & (combined_without <= self.ADMISSION_THRESHOLD)
 
     def _post_event(self) -> None:
@@ -1067,9 +1069,7 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         degenerate schedules with hundreds of singleton slots; the pass
         is opportunistic, not exhaustive.
         """
-        sizes = [
-            (len(s), t) for t, s in enumerate(self._members) if s
-        ]
+        sizes = [(n, t) for t, n in enumerate(self._sizes) if n]
         if len(sizes) < 2:
             return 0
         sizes.sort()
@@ -1082,11 +1082,11 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         merged = 0
         a = self.dyn.affectance
         for src in order:
-            if not self._members[src]:
+            if not self._sizes[src]:
                 continue  # already merged away this pass
             src_members = self._member_array(src)
             for dst in order:
-                if dst == src or not self._members[dst]:
+                if dst == src or not self._sizes[dst]:
                     continue
                 if budget <= 0:
                     break
@@ -1094,10 +1094,9 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
                 union = np.concatenate([src_members, dst_members])
                 combined = slot_admission_sums(a, union)
                 if bool(np.all(combined <= self.ADMISSION_THRESHOLD)):
-                    self._members[dst] |= self._members[src]
-                    self._members[src] = set()
-                    for u in src_members:
-                        self._slot_of[int(u)] = dst
+                    self._label[src_members] = dst
+                    self._sizes[dst] += self._sizes[src]
+                    self._sizes[src] = 0
                     self._in_sum[src] = None
                     self._in_sum[dst] = None
                     self._member_cache[src] = None

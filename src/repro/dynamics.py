@@ -29,6 +29,7 @@ policy of the consuming context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.core.decay import DecaySpace
 from repro.core.links import LinkSet
 from repro.errors import SimulationError
 
-__all__ = ["ChurnEvent", "ChurnDriver", "DynamicScenario"]
+__all__ = ["ChurnEvent", "ChurnDriver", "DynamicScenario", "chunk_events"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,43 @@ class ChurnEvent:
     slot: int
     arrivals: tuple[tuple[int, int], ...] = ()
     departures: tuple[int, ...] = ()
+
+    @classmethod
+    def merged(cls, events: Sequence["ChurnEvent"]) -> "ChurnEvent":
+        """One event carrying every departure, then every arrival, of
+        ``events`` in order (the slot field is the first event's)."""
+        return cls(
+            slot=events[0].slot,
+            arrivals=tuple(a for ev in events for a in ev.arrivals),
+            departures=tuple(d for ev in events for d in ev.departures),
+        )
+
+
+def chunk_events(
+    events: Iterable[ChurnEvent], batch: int, next_id: int
+) -> list[tuple[ChurnEvent, ...]]:
+    """Split a stream into the chunks a batching consumer merges.
+
+    The boundaries of ``SchedulerDaemon(batch=k)``: a chunk holds at
+    most ``batch`` consecutive events and applies as
+    :meth:`ChurnEvent.merged` — departures before arrivals — so it also
+    closes before an event that departs a link born inside it.
+    ``next_id`` is the id the stream's first arrival will be assigned.
+    """
+    chunks: list[list[ChurnEvent]] = []
+    first = next_id  # first id born inside the open chunk
+    for ev in events:
+        if (
+            chunks
+            and len(chunks[-1]) < batch
+            and not any(d >= first for d in ev.departures)
+        ):
+            chunks[-1].append(ev)
+        else:
+            chunks.append([ev])
+            first = next_id
+        next_id += len(ev.arrivals)
+    return [tuple(c) for c in chunks]
 
 
 @dataclass(frozen=True)

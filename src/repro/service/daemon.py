@@ -304,22 +304,13 @@ class SchedulerDaemon:
                 if not future.done():
                     future.set_result(result)
                 return
-            departures: list[int] = []
-            arrivals: list[tuple[int, int]] = []
-            for event, _, _ in chunk:
-                departures.extend(event.departures)
-                arrivals.extend(event.arrivals)
-            for link_id in departures:
+            merged = ChurnEvent.merged([event for event, _, _ in chunk])
+            for link_id in merged.departures:
                 if self.driver.slot_of(link_id) is None:
                     raise SimulationError(
                         f"chunk departs unknown or already-departed "
                         f"link id {link_id}"
                     )
-            merged = ChurnEvent(
-                slot=0,
-                arrivals=tuple(arrivals),
-                departures=tuple(departures),
-            )
             first_id = self.driver.next_id
             gone, fresh = self.driver.feed(merged)
             self.repairer.apply(fresh, gone)

@@ -6,7 +6,9 @@ the same load-bearing cross-check: rebuild a :class:`SchedulingContext`
 every maintained slot against it.  The oracle lives here once so a
 future change (e.g. threading noise/beta/zeta through the rebuild)
 cannot silently leave the two suites checking different invariants —
-and so does the randomized churn-replay loop they both drive.
+and so does the randomized churn-replay loop they both drive.  The
+every-member reference repairers pin the support-restricted probes of
+:mod:`repro.algorithms.repair` against the sweep over all members.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.algorithms.context import DynamicContext, SchedulingContext
+from repro.algorithms.repair import (
+    CapacityRepairScheduler,
+    OnlineRepairScheduler,
+)
 from repro.core.affectance import in_affectances_within
+from repro.core.affectance_sparse import gather_col, gather_row
 from repro.core.links import LinkSet
 
 
@@ -85,3 +92,27 @@ def replay_random_churn(
         if on_event is not None:
             on_event(rs, dyn, alive)
     return alive
+
+
+class _EveryMemberTerms:
+    """Reference probes: every slot member's term, zero-padded.
+
+    Overrides the support lookup of the repairers so that probes,
+    admission sums and the eviction scan gather over *all* members of
+    the slot, as the repairers did before their probes read only a
+    link's stored support: ``a[members, v]`` and ``a[v, members]`` with
+    zeros at unstored positions, summed in member order, and a
+    full-membership (candidates x hot) block in the eviction scan.
+    """
+
+    def _slot_terms(self, a, v, t):
+        mem = self._member_array(t)
+        return mem, gather_col(a, mem, v), mem, gather_row(a, v, mem)
+
+
+class ReferenceRepair(_EveryMemberTerms, OnlineRepairScheduler):
+    """First-fit repair with the every-member probe and eviction scan."""
+
+
+class ReferenceCapacityRepair(_EveryMemberTerms, CapacityRepairScheduler):
+    """Capacity repair with the every-member probe and eviction scan."""

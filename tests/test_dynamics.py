@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.context import DynamicContext
-from repro.dynamics import ChurnDriver, ChurnEvent, DynamicScenario
+from repro.dynamics import (
+    ChurnDriver,
+    ChurnEvent,
+    DynamicScenario,
+    chunk_events,
+)
 from repro.errors import SimulationError
 from repro.scenarios import build_scenario
 
@@ -213,3 +218,27 @@ class TestChurnDriver:
         arrived, _ = driver.step(10)
         assert arrived == [2, 3]
         assert dyn.m == 4
+
+    def test_chunks_close_before_departing_a_chunk_born_link(self):
+        """The batched daemon's chunk boundaries: at most ``batch``
+        events, and a new chunk before an event that departs a link
+        born inside the open one (merged departures apply first)."""
+        space, pairs = _substrate()
+        dyn = DynamicContext(space, pairs[:3])
+        events = (
+            ChurnEvent(slot=1, arrivals=(pairs[3],), departures=(0,)),
+            ChurnEvent(slot=2, arrivals=(pairs[4],), departures=(1,)),
+            ChurnEvent(slot=3, departures=(3,)),  # id 3 born in event 0
+            ChurnEvent(slot=4, arrivals=(pairs[5],)),
+            ChurnEvent(slot=5, departures=(2,)),
+        )
+        driver = ChurnDriver(dyn, events)
+        chunks = chunk_events(events, 3, driver.next_id)
+        assert [len(c) for c in chunks] == [2, 3]
+        assert [len(c) for c in chunk_events(events, 2, 3)] == [2, 2, 1]
+        merged = ChurnEvent.merged(chunks[0])
+        assert merged.departures == (0, 1)
+        assert merged.arrivals == (pairs[3], pairs[4])
+        for chunk in chunks:
+            driver.feed(ChurnEvent.merged(chunk))
+        assert sorted(driver.ids_of(dyn.active_slots)) == [4, 5]
