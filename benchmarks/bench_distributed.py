@@ -336,8 +336,9 @@ def test_scale_capacity_repair_vs_rebuild_m2000(
     The acceptance benchmark of the capacity-repair tier: a
     :class:`CapacityRepairScheduler` (zeta-adaptive anchors, Algorithm-1
     threshold probes, compaction every 8 events) rides the m=2000
-    poisson-churn trace with **zero** affectance rebuilds (anchors run
-    off freeze-injected matrix copies; the build counter pins it), ends
+    poisson-churn trace with **zero** affectance rebuilds (anchors copy
+    only the raw affectance out of the context and derive distances
+    from it; the build counter pins it), ends
     within ~1.2x the slot count of a from-scratch
     ``repeated_capacity`` over the final link set, and is cheaper than
     re-peeling after every event.  Slot counts, trajectories, and wall
@@ -374,8 +375,9 @@ def test_scale_capacity_repair_vs_rebuild_m2000(
     repair, repair_s, rebuild, rebuild_s, fresh = benchmark.pedantic(
         both, rounds=1, iterations=1
     )
-    # Zero full matrix rebuilds anywhere: anchors are freeze-injected
-    # copies, churn events are incremental row/column updates.
+    # Zero affectance rebuilds anywhere: anchors copy the raw affectance
+    # (distances are built per anchor), churn events are incremental
+    # row/column updates.
     assert matrix_build_counter["n"] == 0, (
         f"capacity tier rebuilt the matrix {matrix_build_counter['n']} times"
     )

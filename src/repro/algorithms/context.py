@@ -116,20 +116,23 @@ class _AffectanceLedger:
 def slot_admission_sums(
     a: np.ndarray, members: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Per-member ``a_M(v) + a_v(M)`` within the member set ``M``.
+    """Per-member clipped ``a_M(v) + a_v(M)`` within the member set ``M``.
 
-    The ledger sums a freshly built round would carry: column sums plus
-    row sums of the member block (diagonal zero), aligned with
-    ``members``.  A set whose every entry clears the Algorithm-1
-    admission threshold of 1/2 is in particular feasible — each member's
-    in-affectance is at most 1/2 — which is what makes threshold-guarded
-    slot merges safe.
+    ``a`` is the raw affectance (dense array or sparse view).  The ledger
+    sums a freshly built round would carry: column sums plus row sums of
+    the clipped member block (diagonal zero), aligned with ``members``.
+    The gathered block is a fresh copy, clipped in place — bit for bit
+    the block of the clipped matrix.  A set whose every entry clears the
+    Algorithm-1 admission threshold of 1/2 is in particular feasible —
+    each member's in-affectance is at most 1/2 — which is what makes
+    threshold-guarded slot merges safe.
     """
     idx = np.asarray(members, dtype=int)
     if isinstance(a, np.ndarray):
         block = a[np.ix_(idx, idx)]
     else:
         block = a.block(idx, idx)
+    np.minimum(block, 1.0, out=block)
     return block.sum(axis=0) + block.sum(axis=1)
 
 
@@ -804,53 +807,40 @@ _EMPTY_ADJ[1].setflags(write=False)
 
 
 class _DynSparseView(_SparseView):
-    """One value layer over a sparse :class:`DynamicContext`'s adjacency.
+    """The raw affectance over a sparse :class:`DynamicContext`'s adjacency.
 
     A *live* padded view (size = slot capacity, free slots empty): every
     access reads the maintained per-slot ``(indices, values)`` arrays, so
-    the view tracks churn and capacity growth without invalidation.  Raw
-    values are stored; clipping is applied on read.
+    the view tracks churn and capacity growth without invalidation.
+    Adjacency arrays are kept index-sorted by every mutation path
+    (adopted CSR slices are sorted, insertion re-sorts the touched slots,
+    removal filters in place), so reads are allocation-free.  Consumers
+    of the clipped form clip what they gather.
     """
 
-    __slots__ = ("_dyn", "_clipped")
+    __slots__ = ("_dyn",)
 
-    def __init__(self, dyn: "DynamicContext", clipped: bool) -> None:
+    def __init__(self, dyn: "DynamicContext") -> None:
         self._dyn = dyn
-        self._clipped = clipped
 
     @property
     def n(self) -> int:
         return self._dyn._capacity
 
-    def _layer(
-        self, adj: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # Adjacency arrays are kept index-sorted by every mutation path
-        # (adopted CSR slices are sorted, insertion re-sorts the touched
-        # slots, removal filters in place), so reads are allocation-free
-        # for the raw layer.
-        idx, val = adj
-        if idx.size == 0:
-            return _EMPTY_ADJ
-        if self._clipped:
-            val = np.minimum(val, 1.0)
-        return idx, val
-
     def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._layer(self._dyn._row[int(v)])
+        return self._dyn._row[int(v)]
 
     def col(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._layer(self._dyn._col[int(v)])
+        return self._dyn._col[int(v)]
 
     def rows_sum(self, members) -> np.ndarray:
         """Member-row sum, reading the maintained adjacency directly.
 
         Same two regimes as the mixin (dense-block twin within the
         budget, bincount scatter beyond it), but the scatter path skips
-        the per-row ``row()``/clip round trip: raw layers are gathered
-        straight from the adjacency lists and clipped once on the
-        concatenation — elementwise ``min`` commutes with concatenation,
-        so the floats match the per-row reads bit for bit.
+        the per-row ``row()`` call: the value arrays are gathered
+        straight from the adjacency lists, in member order, so the
+        floats match the per-row reads bit for bit.
         """
         members = np.asarray(members, dtype=int)
         n = self.n
@@ -874,8 +864,6 @@ class _DynSparseView(_SparseView):
             return np.zeros(n)
         cat_i = np.concatenate(parts_i)
         cat_v = np.concatenate(parts_v)
-        if self._clipped:
-            cat_v = np.minimum(cat_v, 1.0)
         return np.bincount(cat_i, weights=cat_v, minlength=n)
 
 
@@ -884,21 +872,20 @@ class DynamicContext:
 
     The online counterpart of :class:`SchedulingContext`: links join
     (:meth:`add_link`) and leave (:meth:`remove_links`) one event at a
-    time, and every maintained object — the raw and clipped affectance
-    matrices, link quasi-distances, lengths, powers, noise constants, and
-    the ledger-style in/out affectance sums — is updated in **O(m) work
-    per event** (one row and one column), never by an O(m^2) rebuild.
+    time.  The context maintains one affectance layer — the *raw*
+    affectance ``a_w(v)`` — plus per-link lengths, powers and noise
+    constants, in **O(m) work per event** (one row and one column), never
+    by an O(m^2) rebuild.  Consumers that need the clipped form
+    ``min(1, a)`` clip the entries they gather; link quasi-distances are
+    built only when a schedule is anchored, by the :meth:`freeze`-produced
+    static context.
 
     Exactness contract: every maintained *matrix entry* is computed by the
     same elementwise IEEE operations as a from-scratch
     :class:`SchedulingContext` over the current link set, so
-    :meth:`freeze` produces a context whose affectance and distance
-    matrices — and therefore whose capacity/scheduling outputs — are
-    byte-identical to a fresh build (the test suite pins this across
-    random churn sequences).  The running ledger *sums* are maintained by
-    subtraction and may drift by a few ulp from a fresh sum; anything that
-    needs exact sums (the scheduling kernels) recomputes them from the
-    exact matrices inside :meth:`freeze`-produced contexts.
+    :meth:`freeze` produces a context whose affectance matrices — and
+    therefore whose capacity/scheduling outputs — are byte-identical to a
+    fresh build (the test suite pins this across random churn sequences).
 
     Storage is slot-stable: each link occupies a fixed *slot* index for
     its whole lifetime, departures free the slot, and later arrivals
@@ -928,15 +915,14 @@ class DynamicContext:
         per-slot adjacency arrays maintained in **O(degree)** per event
         at a pinned interaction radius (adopted from the initial build's
         certificate, or ``radius`` when starting empty), and
-        :attr:`raw_affectance` / :attr:`affectance` return live sparse
-        views instead of arrays.
+        :attr:`raw_affectance` returns a live sparse view instead of an
+        array.
     """
 
     __slots__ = (
         "_space", "_noise", "_beta", "_zeta_arg", "_zeta", "_capacity",
         "_senders", "_receivers", "_powers", "_lengths", "_c",
-        "_a_raw", "_a_clip", "_dist", "_active", "_free", "_count",
-        "_in_sum", "_out_sum",
+        "_a_raw", "_active", "_free", "_count",
         "_backend", "_eps", "_radius", "_row", "_col",
         "_node_index", "_at_count", "_at_slot",
         "last_removed_rows",
@@ -1008,14 +994,13 @@ class DynamicContext:
         if self._backend == "sparse":
             # Per-slot adjacency mirrors: _row[w] = (v indices, a_w(v)),
             # _col[v] = (w indices, a_w(v)) as parallel numpy arrays (raw
-            # values; clipping happens on read), each index-sorted so
-            # every ledger sum over a row keeps its operand order.
+            # values), each index-sorted so every sum over a row keeps
+            # its operand order.
             # Arrivals and departures merge the O(degree) touched entries
             # of all touched slots in one vectorized pass and replace
             # those slots wholesale, with no per-entry Python objects —
             # the m=10^4+ regime where dict storage would dominate memory.
             self._a_raw: np.ndarray | None = None
-            self._a_clip: np.ndarray | None = None
             self._row: list[tuple[np.ndarray, np.ndarray]] | None = [
                 _EMPTY_ADJ
             ] * cap
@@ -1034,19 +1019,15 @@ class DynamicContext:
             self._at_slot = np.zeros(2 * n, dtype=np.int64)
         else:
             self._a_raw = np.zeros((cap, cap))
-            self._a_clip = np.zeros((cap, cap))
             self._row = None
             self._col = None
             self._at_count = None
             self._at_slot = None
         self._node_index = None
-        self._dist: np.ndarray | None = None
         self._active = np.zeros(cap, dtype=bool)
         self._free = list(range(cap))
         heapq.heapify(self._free)
         self._count = 0
-        self._in_sum = np.zeros(cap)
-        self._out_sum = np.zeros(cap)
         #: Row patterns of the most recent :meth:`remove_links` batch
         #: (sparse backend): slot -> the column indices its row held just
         #: before removal.  Consumers that maintain derived per-position
@@ -1076,9 +1057,9 @@ class DynamicContext:
     def _adopt(self, ctx: SchedulingContext) -> None:
         """Install a static context's links (slots ``0..m-1``, in order).
 
-        Matrices are taken from the context — computed there if absent —
-        so adoption is one batch build (or a pure copy when the context
-        already has them), identical float-for-float to a fresh
+        The raw affectance is taken from the context — computed there if
+        absent — so adoption is one batch build (or a pure copy when the
+        context already has it), identical float-for-float to a fresh
         :class:`SchedulingContext` over the same links.
         """
         m = ctx.m
@@ -1106,17 +1087,8 @@ class DynamicContext:
                 idx, val = raw.col(i)
                 self._col[i] = (idx.copy(), val.copy())
             self._register(sl)
-            clip = sp.clip
-            self._in_sum[:m] = clip.sum_axis0()
-            self._out_sum[:m] = clip.sum_axis1()
         else:
             self._a_raw[:m, :m] = ctx.raw_affectance
-            self._a_clip[:m, :m] = ctx.affectance
-            if "dist" in ctx._cache:
-                self._ensure_dist()
-                self._dist[:m, :m] = ctx.link_distances
-            self._in_sum[:m] = self._a_clip[:m, :m].sum(axis=0)
-            self._out_sum[:m] = self._a_clip[:m, :m].sum(axis=1)
         if "zeta" in ctx._cache:
             self._zeta = ctx.zeta
         self._active[sl] = True
@@ -1132,18 +1104,15 @@ class DynamicContext:
             fresh = np.zeros(new_cap, dtype=int)
             fresh[:cap] = old
             setattr(self, name, fresh)
-        for name in ("_powers", "_lengths", "_c", "_in_sum", "_out_sum"):
+        for name in ("_powers", "_lengths", "_c"):
             old = getattr(self, name)
             fresh = np.zeros(new_cap)
             fresh[:cap] = old
             setattr(self, name, fresh)
-        for name in ("_a_raw", "_a_clip", "_dist"):
-            old = getattr(self, name)
-            if old is None:
-                continue
+        if self._a_raw is not None:
             fresh = np.zeros((new_cap, new_cap))
-            fresh[:cap, :cap] = old
-            setattr(self, name, fresh)
+            fresh[:cap, :cap] = self._a_raw
+            self._a_raw = fresh
         if self._row is not None:
             self._row.extend([_EMPTY_ADJ] * (new_cap - cap))
             self._col.extend([_EMPTY_ADJ] * (new_cap - cap))
@@ -1204,19 +1173,9 @@ class DynamicContext:
         return self._zeta
 
     @property
-    def zeta_capacity(self) -> float:
-        """``zeta`` clamped below at 1 — the distance-matrix exponent."""
-        return max(self.zeta, 1.0)
-
-    @property
     def backend(self) -> str:
         """Affectance storage backend: ``"dense"`` or ``"sparse"``."""
         return self._backend
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether affectance is maintained sparsely (no padded matrices)."""
-        return self._backend == "sparse"
 
     @property
     def eps(self) -> float:
@@ -1236,27 +1195,8 @@ class DynamicContext:
         exposing the maintained pattern through the sparse kernel API.
         """
         if self._backend == "sparse":
-            return _DynSparseView(self, clipped=False)
+            return _DynSparseView(self)
         return self._a_raw
-
-    @property
-    def affectance(self) -> np.ndarray:
-        """Padded clipped affectance ``min(1, a_w(v))``."""
-        if self._backend == "sparse":
-            return _DynSparseView(self, clipped=True)
-        return self._a_clip
-
-    @property
-    def link_distances(self) -> np.ndarray:
-        """Padded link quasi-distances (materialized on first access)."""
-        if self._backend == "sparse":
-            raise LinkError(
-                "the sparse backend does not maintain a dense link-distance "
-                "matrix; freeze() and use the static context's "
-                "sparse_link_distances"
-            )
-        self._ensure_dist(populate=True)
-        return self._dist
 
     @property
     def senders(self) -> np.ndarray:
@@ -1278,16 +1218,6 @@ class DynamicContext:
         """Padded signal decays ``f_vv`` by slot."""
         return self._lengths
 
-    @property
-    def ledger_in_sums(self) -> np.ndarray:
-        """Running ``a_M(v)`` over the active set (subtractive; see class doc)."""
-        return self._in_sum
-
-    @property
-    def ledger_out_sums(self) -> np.ndarray:
-        """Running ``a_v(M)`` over the active set (subtractive; see class doc)."""
-        return self._out_sum
-
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
@@ -1297,11 +1227,9 @@ class DynamicContext:
         """Admit one link; returns the slot index it will occupy.
 
         A batch of one through :meth:`add_links` — there is exactly one
-        implementation of the arrival formulas.  O(m): the new link's
-        affectance row/column (and distance row/column when distances
-        are materialized) are computed against the active set with the
-        exact elementwise expressions of the batch builders, and the
-        ledger sums absorb them.
+        implementation of the arrival formulas.  O(m): the new link's raw
+        affectance row/column is computed against the active set with the
+        exact elementwise expressions of the batch builders.
         """
         return self.add_links([(int(sender), int(receiver))], powers=power)[0]
 
@@ -1313,18 +1241,15 @@ class DynamicContext:
         """Admit a batch of links; returns the slot index of each.
 
         The multi-arrival fast path: instead of one O(m) row/column pass
-        per link, the whole batch's affectance (and distance) blocks —
+        per link, the whole batch's raw affectance blocks —
         new-versus-active and new-versus-new — are computed as single
         vectorized broadcasts.  Batching is **byte-identical** to
         admitting the same pairs one at a time (a sequence of singleton
         batches, i.e. :meth:`add_link` calls): the same slots are
         assigned (lowest free first, capacity doubling on demand) and
         every matrix entry (sparse: every adjacency index and value) is
-        produced by the same elementwise IEEE expression.  The dense
-        ledger sums absorb the new rows/columns in the same accumulation
-        order and match bit for bit too; the sparse ones absorb a
-        batch's entries in batch order, so they match to rounding only
-        (no scheduling kernel reads them).  The test suite pins both.
+        produced by the same elementwise IEEE expression.  The test
+        suite pins this.
 
         ``powers`` is a scalar applied to every arrival (default 1.0) or
         a per-arrival sequence.  Unlike a sequential loop, validation is
@@ -1411,8 +1336,6 @@ class DynamicContext:
                     )
                     self._a_raw[np.ix_(sl, act)] = rows
                     self._a_raw[np.ix_(act, sl)] = cols
-                    self._a_clip[np.ix_(sl, act)] = np.minimum(rows, 1.0)
-                    self._a_clip[np.ix_(act, sl)] = np.minimum(cols, 1.0)
                 if k > 1:
                     # New-versus-new block: when added sequentially, link j
                     # sees every earlier batch member as active — the same
@@ -1424,20 +1347,6 @@ class DynamicContext:
                     )
                     np.fill_diagonal(block, 0.0)
                     self._a_raw[np.ix_(sl, sl)] = block
-                    self._a_clip[np.ix_(sl, sl)] = np.minimum(block, 1.0)
-            # Ledger sums in the exact per-arrival accumulation order of
-            # add_link (gathering the just-written clipped entries), so the
-            # running sums match a sequential replay bit for bit.
-            for i, slot in enumerate(slots):
-                act_i = np.sort(np.concatenate([act, sl[:i]])) if i else act
-                clip_row = self._a_clip[slot, act_i]
-                clip_col = self._a_clip[act_i, slot]
-                self._in_sum[slot] = clip_col.sum()
-                self._out_sum[slot] = clip_row.sum()
-                self._in_sum[act_i] += clip_row
-                self._out_sum[act_i] += clip_col
-            if self._dist is not None:
-                self._update_dist_block(sl, act, s_new, r_new, l_new)
         self._active[sl] = True
         self._count += k
         return slots
@@ -1461,7 +1370,7 @@ class DynamicContext:
         first ``k`` query points are the new receivers, the last ``k``
         the new senders.  Hits come offset-major, so each role's hits,
         taken in place, keep the order a query of that role alone would
-        return, and the ledgers absorb the entries in the same order.
+        return.
         """
         if self._node_index is None:
             # One instance per (geometry, cell size) across all contexts
@@ -1509,11 +1418,6 @@ class DynamicContext:
                 * (self._powers[ww] / self._powers[vv])
                 * (self._lengths[vv] / f_wv)
             )
-        clipped = np.minimum(vals, 1.0)
-        # Ledger accumulation in entry order (unbuffered, so repeated
-        # slots add sequentially like the historical per-entry loop).
-        np.add.at(self._in_sum, vv, clipped)
-        np.add.at(self._out_sum, ww, clipped)
         # Extend each touched adjacency (row and column mirror) once.
         cap = self._capacity
         self._extend_adjacency(
@@ -1654,55 +1558,12 @@ class DynamicContext:
             np.concatenate(old_val)[keep],
         )
 
-    def _update_dist_block(
-        self,
-        sl: np.ndarray,
-        act: np.ndarray,
-        s_new: np.ndarray,
-        r_new: np.ndarray,
-        l_new: np.ndarray,
-    ) -> None:
-        """Distance blocks for a batch arrival (exact per element).
-
-        The blocked form of :meth:`_update_dist`: every entry is the same
-        four-candidate endpoint minimum evaluated through the same ufunc
-        power loop, so batched and sequential arrivals produce identical
-        distance matrices.
-        """
-        inv = 1.0 / self.zeta_capacity
-        f = self._space.f
-        self._dist[sl, sl] = np.power(l_new, inv)
-        if act.size:
-            s_act = self._senders[act]
-            r_act = self._receivers[act]
-            sr = f[np.ix_(s_new, r_act)] ** inv  # d(s_new, r_w)
-            rs = f[np.ix_(s_act, r_new)] ** inv  # d(s_w, r_new)
-            ss_fwd = f[np.ix_(s_new, s_act)] ** inv
-            ss_bwd = f[np.ix_(s_act, s_new)] ** inv
-            rr_fwd = f[np.ix_(r_new, r_act)] ** inv
-            rr_bwd = f[np.ix_(r_act, r_new)] ** inv
-            self._dist[np.ix_(sl, act)] = np.minimum(
-                np.minimum(sr, rs.T), np.minimum(ss_fwd, rr_fwd)
-            )
-            self._dist[np.ix_(act, sl)] = np.minimum(
-                np.minimum(rs, sr.T), np.minimum(ss_bwd, rr_bwd)
-            )
-        if sl.size > 1:
-            sr_nn = f[np.ix_(s_new, r_new)] ** inv
-            ss_nn = f[np.ix_(s_new, s_new)] ** inv
-            rr_nn = f[np.ix_(r_new, r_new)] ** inv
-            block = np.minimum(
-                np.minimum(sr_nn, sr_nn.T), np.minimum(ss_nn, rr_nn)
-            )
-            np.fill_diagonal(block, np.power(l_new, inv))
-            self._dist[np.ix_(sl, sl)] = block
-
     def remove_links(self, slots: Iterable[int] | int) -> None:
         """Retire links by slot index; their slots become reusable.
 
-        O(m) per removed link: ledger sums shed the departed rows and
-        columns by subtraction, and the freed rows/columns are zeroed so
-        the padded matrices never leak stale interference.  Slot ids
+        O(m) per removed link: the freed rows/columns are zeroed so the
+        padded matrix never leaks stale interference (sparse: the departed
+        entries leave their partners' adjacency, O(degree)).  Slot ids
         must be integers (Python or numpy; bools and floats are refused
         with :class:`LinkError` before anything changes).
         """
@@ -1731,12 +1592,9 @@ class DynamicContext:
                 # Shed this slot's row (its effect on survivors) and column
                 # (survivors' effect on it); each row partner v holds s in
                 # _col[v], each column partner w in _row[w].
-                ri, rv = self._row[s]
+                ri = self._row[s][0]
                 removed_rows[s] = ri
-                self._in_sum[ri] -= np.minimum(rv, 1.0)
-                ci, cv = self._col[s]
-                self._out_sum[ci] -= np.minimum(cv, 1.0)
-                partners += (ci, ri + cap)
+                partners += (self._col[s][0], ri + cap)
             keys = np.concatenate(partners)
             if keys.size:
                 self._shrink_adjacency(keys)
@@ -1745,18 +1603,9 @@ class DynamicContext:
                 self._col[s] = _EMPTY_ADJ
             self._unregister(idx)
         else:
-            self._in_sum -= self._a_clip[idx].sum(axis=0)
-            self._out_sum -= self._a_clip[:, idx].sum(axis=1)
             self._a_raw[idx, :] = 0.0
             self._a_raw[:, idx] = 0.0
-            self._a_clip[idx, :] = 0.0
-            self._a_clip[:, idx] = 0.0
-            if self._dist is not None:
-                self._dist[idx, :] = 0.0
-                self._dist[:, idx] = 0.0
         self.last_removed_rows = removed_rows
-        self._in_sum[idx] = 0.0
-        self._out_sum[idx] = 0.0
         self._count -= idx.size
         for s in idx.tolist():
             heapq.heappush(self._free, s)
@@ -1778,39 +1627,18 @@ class DynamicContext:
         return np.array(sorted(set(map(int, items))), dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Distances
-    # ------------------------------------------------------------------
-    def _ensure_dist(self, populate: bool = False) -> None:
-        if self._dist is None:
-            self._dist = np.zeros((self._capacity, self._capacity))
-            populate = populate and self._count > 0
-        else:
-            populate = False
-        if populate:
-            inv = 1.0 / self.zeta_capacity
-            act = self.active_slots
-            f = self._space.f
-            s, r = self._senders[act], self._receivers[act]
-            sv_rw = f[np.ix_(s, r)] ** inv
-            sv_sw = f[np.ix_(s, s)] ** inv
-            rv_rw = f[np.ix_(r, r)] ** inv
-            out = np.minimum(
-                np.minimum(sv_rw, sv_rw.T), np.minimum(sv_sw, rv_rw)
-            )
-            np.fill_diagonal(out, np.diagonal(sv_rw))
-            self._dist[np.ix_(act, act)] = out
-
-    # ------------------------------------------------------------------
     # Bridges
     # ------------------------------------------------------------------
     def freeze(self) -> SchedulingContext:
         """A static :class:`SchedulingContext` over the current links.
 
-        Active links are listed in slot order.  The frozen context's
-        matrix caches are injected from the maintained padded arrays —
-        byte-identical to a from-scratch build, without recomputing a
-        single affectance or distance entry.  The result is independent
-        of further churn on this object.
+        Active links are listed in slot order.  On the dense backend the
+        frozen context's raw affectance is a copy of the maintained
+        padded matrix — byte-identical to a from-scratch build, without
+        recomputing a single affectance entry; the resolved ``zeta``
+        rides along too.  The frozen context derives its clipped layer and
+        link distances on first use, exactly as a fresh context does.
+        The result is independent of further churn on this object.
         """
         act = self.active_slots
         if act.size == 0:
@@ -1836,10 +1664,7 @@ class DynamicContext:
             # maintained pattern and values exactly (the d <= R criterion
             # is the builder's own), so freeze stays O(1) until used.
             return ctx
-        ctx._cache["raw_affectance"] = self._a_raw[np.ix_(act, act)].copy()
-        ctx._cache["affectance"] = self._a_clip[np.ix_(act, act)].copy()
-        if self._dist is not None:
-            ctx._cache["dist"] = self._dist[np.ix_(act, act)].copy()
+        ctx._cache["raw_affectance"] = self._a_raw[np.ix_(act, act)]
         return ctx
 
     def __len__(self) -> int:

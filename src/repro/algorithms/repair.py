@@ -45,7 +45,7 @@ per-event path reads only a link's stored row/column support:
 
 ``rebuild_every=k`` re-anchors the schedule with a from-scratch build
 over the current active set every ``k``-th event (rebuilds run off the
-maintained padded matrices — no affectance rebuild ever happens).
+maintained raw affectance — no affectance rebuild ever happens).
 ``rebuild_every=1`` therefore *is* the per-event-rebuild baseline that
 repair is benchmarked against, and :meth:`competitive_ratio` reports how
 many more slots the repaired schedule uses than a fresh rebuild would.
@@ -93,6 +93,29 @@ __all__ = [
     "OnlineRepairScheduler",
     "RepairStats",
 ]
+
+
+def _checked_count(
+    name: str,
+    value: object,
+    least: int,
+    *,
+    optional: bool = False,
+    error: type[Exception] = LinkError,
+) -> None:
+    """Refuse a count setting that is not an integer >= ``least``.
+
+    Bools and non-integral numbers (``2.5``, NaN) are refused rather
+    than truncated: a truncated value would run a different schedule
+    than the one asked for.  ``optional`` admits ``None`` (no limit).
+    """
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = f">= {least} or None" if optional else f">= {least}"
+        raise error(f"{name} must be {bound}, got {value}")
 
 
 @dataclass
@@ -199,20 +222,10 @@ class OnlineRepairScheduler:
         max_evictions: int | None = None,
         anchor: bool = True,
     ) -> None:
-        if cascade < 0:
-            raise LinkError(f"cascade depth must be >= 0, got {cascade}")
-        if rebuild_every is not None and rebuild_every < 1:
-            raise LinkError(
-                f"rebuild_every must be >= 1 or None, got {rebuild_every}"
-            )
-        if max_slots is not None and max_slots < 1:
-            raise LinkError(
-                f"max_slots must be >= 1 or None, got {max_slots}"
-            )
-        if max_evictions is not None and max_evictions < 0:
-            raise LinkError(
-                f"max_evictions must be >= 0 or None, got {max_evictions}"
-            )
+        _checked_count("cascade", cascade, 0)
+        _checked_count("rebuild_every", rebuild_every, 1, optional=True)
+        _checked_count("max_slots", max_slots, 1, optional=True)
+        _checked_count("max_evictions", max_evictions, 0, optional=True)
         self.dyn = dyn
         self.cascade = int(cascade)
         self.rebuild_every = rebuild_every
@@ -924,9 +937,11 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
     :meth:`~repro.algorithms.context.SchedulingContext.repeated_capacity`:
     anchors (construction and every ``rebuild_every``-th event) peel the
     active set with the chosen ``admission`` kernel — including the
-    ``"adaptive"`` degenerate-round fallback — via a cache-injected
-    :meth:`DynamicContext.freeze` (a matrix *copy*, never a rebuild),
-    and local repair preserves the per-slot capacity invariant: a link
+    ``"adaptive"`` degenerate-round fallback — via
+    :meth:`DynamicContext.freeze` (a copy of the raw affectance, never an
+    affectance rebuild; the frozen context derives the clipped layer and
+    link distances as a fresh one does), and local repair preserves the
+    per-slot capacity invariant: a link
     joins a slot only when the slot stays ``feasible_within``-exact
     *and* the link's combined clipped in+out affectance against the slot
     clears the Algorithm-1 admission threshold (1/2) — exactly the
@@ -946,6 +961,11 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
     ``"adaptive"`` kernel falls back to on degenerate rounds, and the
     reason churned slots stay within a small factor of a from-scratch
     peel (benchmarked at m=2000 in ``benchmarks/bench_distributed.py``).
+
+    The context stores only raw affectance; the threshold probes, the
+    eviction mask and compaction clip the terms they gather
+    (``min(1, a)`` of a gathered entry is the gathered clipped entry,
+    bit for bit).
     """
 
     #: Algorithm 1's admission threshold: combined in+out clipped
@@ -972,26 +992,17 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
                 f"unknown admission kernel {admission!r}; "
                 "expected 'bounded_growth', 'general' or 'adaptive'"
             )
-        if compaction_every is not None and compaction_every < 1:
-            raise LinkError(
-                f"compaction_every must be >= 1 or None, got "
-                f"{compaction_every}"
-            )
-        if compaction_probes is not None and compaction_probes < 1:
-            raise LinkError(
-                f"compaction_probes must be >= 1 or None, got "
-                f"{compaction_probes}"
-            )
+        _checked_count("compaction_every", compaction_every, 1, optional=True)
+        _checked_count(
+            "compaction_probes", compaction_probes, 1, optional=True
+        )
         self.admission = admission
         self.compaction_every = compaction_every
         self.compaction_probes = compaction_probes
-        if admission != "general" and dyn.m and not dyn.is_sparse:
-            # Materialize the padded distance matrix once: the context
-            # then maintains it incrementally per event, and freeze()
-            # injects it, so anchors never recompute distances either.
-            # (The sparse backend has no padded distance matrix; its
-            # anchors build sparse link distances inside freeze().)
-            dyn.link_distances
+        if admission != "general" and dyn.m:
+            # Resolve zeta once: freeze() hands it to every anchor, whose
+            # separation test needs it, and checkpoints carry it.
+            dyn.zeta
         super().__init__(
             dyn,
             cascade=cascade,
@@ -1007,9 +1018,9 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
     def _from_scratch(self) -> list[list[int]]:
         """Capacity peeling over the active set, via a frozen context.
 
-        ``freeze`` injects the maintained padded matrices into the
-        static context (byte-identical, zero recomputation), so the
-        schedule equals a fresh
+        ``freeze`` injects the maintained raw affectance into the static
+        context (byte-identical, no affectance rebuild), so the schedule
+        equals a fresh
         ``SchedulingContext(active_links).repeated_capacity`` slot for
         slot — the test suite pins this at every rebuild anchor.
         """
@@ -1026,19 +1037,22 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         summed over ``v``'s stored support like the feasibility terms."""
         if not self._sizes[t]:
             return True
-        _, col, _, row = self._slot_terms(self.dyn.affectance, v, t)
-        return float(col.sum() + row.sum()) <= self.ADMISSION_THRESHOLD
+        _, col, _, row = self._slot_terms(self.dyn.raw_affectance, v, t)
+        clipped = np.minimum(col, 1.0).sum() + np.minimum(row, 1.0).sum()
+        return float(clipped) <= self.ADMISSION_THRESHOLD
 
     def _eviction_mask(
         self, v: int, t: int, cand: np.ndarray, col: np.ndarray, iv: float
     ) -> np.ndarray:
         """Feasibility *and* threshold for ``v`` if the candidate leaves."""
         mask = super()._eviction_mask(v, t, cand, col, iv)
-        ac = self.dyn.affectance
-        _, col_s, _, row_s = self._slot_terms(ac, v, t)
-        col_c = gather_col(ac, cand, v)
-        row_c = gather_row(ac, v, cand)
-        combined_without = (col_s.sum() - col_c) + (row_s.sum() - row_c)
+        a = self.dyn.raw_affectance
+        _, col_s, _, row_s = self._slot_terms(a, v, t)
+        col_c = np.minimum(gather_col(a, cand, v), 1.0)
+        row_c = np.minimum(gather_row(a, v, cand), 1.0)
+        combined_without = (np.minimum(col_s, 1.0).sum() - col_c) + (
+            np.minimum(row_s, 1.0).sum() - row_c
+        )
         return mask & (combined_without <= self.ADMISSION_THRESHOLD)
 
     def _post_event(self) -> None:
@@ -1080,7 +1094,7 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
             else 4 * len(order)
         )
         merged = 0
-        a = self.dyn.affectance
+        a = self.dyn.raw_affectance
         for src in order:
             if not self._sizes[src]:
                 continue  # already merged away this pass

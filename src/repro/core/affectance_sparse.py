@@ -161,14 +161,6 @@ class _SparseView:
         idx, val = self.col(int(v))
         out[idx] += val
 
-    def sub_row_from(self, out: np.ndarray, v: int) -> None:
-        idx, val = self.row(int(v))
-        out[idx] -= val
-
-    def sub_col_from(self, out: np.ndarray, v: int) -> None:
-        idx, val = self.col(int(v))
-        out[idx] -= val
-
     def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
         """``a[members].sum(axis=0)`` over the full width.
 
@@ -573,8 +565,12 @@ def build_sparse_affectance(
     """
     from repro.geometry.cells import CellIndex
 
-    if eps <= 0:
+    # ``not (x > 0)`` refuses NaN too, which would otherwise grow the
+    # radius to the complete pattern (eps) or fail deep in the cell index.
+    if not eps > 0:
         raise LinkError(f"sparse tail tolerance eps must be positive, got {eps}")
+    if radius is not None and not radius > 0:
+        raise LinkError(f"interaction radius must be positive, got {radius}")
     geo = _geometry_of(links)
     m = links.m
     p = np.asarray(powers, dtype=float)
@@ -592,8 +588,6 @@ def build_sparse_affectance(
         w_in = c * links.lengths * (p.max() / p) / geo.floor
         w_out = float(np.max(c * links.lengths / p)) * p / geo.floor
     if radius is not None:
-        if radius <= 0:
-            raise LinkError(f"interaction radius must be positive, got {radius}")
         r = float(radius)
         grow = False
     else:
@@ -662,9 +656,9 @@ def build_sparse_link_distances(
     """
     from repro.geometry.cells import CellIndex
 
-    geo = _geometry_of(links)
     z = float(zeta_capacity)
-    if z <= 0:
+    # ``not (x > 0)`` refuses NaN too (it would fail in the cell index).
+    if not z > 0:
         raise LinkError(f"zeta must be positive, got {z}")
     inv = 1.0 / z
     qlen = links.lengths**inv
@@ -673,8 +667,9 @@ def build_sparse_link_distances(
         if radius is not None
         else float((z / 2.0) * qlen.max())
     )
-    if r_d <= 0:
+    if not r_d > 0:
         raise LinkError(f"distance radius must be positive, got {r_d}")
+    geo = _geometry_of(links)
     # f <= r_d^z  <=  floor * dE^alpha  =>  dE <= (r_d^z / floor)^(1/alpha)
     r_e = float((r_d**z / geo.floor) ** (1.0 / geo.alpha))
     pts = geo.points

@@ -39,14 +39,17 @@ def link_distance_matrix(
     """Symmetric matrix of link quasi-distances ``d(l_v, l_w)``.
 
     The diagonal holds the link's own quasi-length ``d_vv = d(s_v, r_v)``
-    (the paper's convention ``d_vv = d(s_v, r_v)``).
+    (the paper's convention ``d_vv = d(s_v, r_v)``).  Only the three
+    link blocks of ``f`` are raised to ``1/zeta`` — O(m^2) work however
+    large the node pool — and the power is elementwise, so each entry
+    equals that of ``f ** (1/zeta)`` gathered afterwards.
     """
-    z = links._resolve_zeta(zeta)
-    d = links.space.f ** (1.0 / z)
+    inv = 1.0 / links._resolve_zeta(zeta)
+    f = links.space.f
     s, r = links.senders, links.receivers
-    sv_rw = d[np.ix_(s, r)]  # d(s_v, r_w)
-    sv_sw = d[np.ix_(s, s)]  # d(s_v, s_w)
-    rv_rw = d[np.ix_(r, r)]  # d(r_v, r_w)
+    sv_rw = f[np.ix_(s, r)] ** inv  # d(s_v, r_w)
+    sv_sw = f[np.ix_(s, s)] ** inv  # d(s_v, s_w)
+    rv_rw = f[np.ix_(r, r)] ** inv  # d(r_v, r_w)
     # The four candidates; d(s_w, r_v) is the transpose of d(s_v, r_w).
     out = np.minimum(np.minimum(sv_rw, sv_rw.T), np.minimum(sv_sw, rv_rw))
     np.fill_diagonal(out, np.diagonal(sv_rw))

@@ -45,6 +45,7 @@ from repro.algorithms.context import DynamicContext
 from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
+    _checked_count,
 )
 from repro.dynamics import ChurnDriver, ChurnEvent, DynamicScenario
 from repro.errors import SimulationError
@@ -84,9 +85,19 @@ class DaemonConfig:
     batch: int = 1
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise SimulationError(
-                f"batch must be >= 1 (1: per-event), got {self.batch}"
+        # Every count round-trips through the checkpoint's int64 vector,
+        # so a non-integer would come back truncated as another config.
+        for name, least, optional in (
+            ("batch", 1, False),
+            ("cascade", 0, False),
+            ("rebuild_every", 1, True),
+            ("max_slots", 1, True),
+            ("max_evictions", 0, True),
+            ("compaction_every", 1, True),
+        ):
+            _checked_count(
+                name, getattr(self, name), least,
+                optional=optional, error=SimulationError,
             )
         if self.kind not in ("first_fit", "capacity"):
             raise SimulationError(

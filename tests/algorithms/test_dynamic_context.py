@@ -1,16 +1,15 @@
 """Churn-identity tests: the incremental DynamicContext is exact.
 
 The load-bearing property of the dynamic layer: after *any* sequence of
-arrivals and departures, every maintained matrix — raw and clipped
-affectance, link quasi-distances — and every derived algorithm output
-(repeated-capacity schedules, first-fit slots, capacity sets) is
-**byte-identical** to a :class:`SchedulingContext` built from scratch
-over the surviving links.  The ledger-style running sums are maintained
-by subtraction and are pinned to a fresh sum within the documented guard.
+arrivals and departures, the one maintained matrix — the raw affectance —
+and everything a frozen context derives from it (clipped affectance, link
+quasi-distances, repeated-capacity schedules, first-fit slots, capacity
+sets) is **byte-identical** to a :class:`SchedulingContext` built from
+scratch over the surviving links.
 
 Property tests drive random churn traces over three registry scenarios
 (geometric, hotspot-clustered, and asymmetric-measured spaces — the last
-exercises the asymmetric distance row/column path); unit tests cover slot
+exercises asymmetric affectance rows and columns); unit tests cover slot
 reuse, capacity growth, validation, and the zeta-adaptive admission rule.
 """
 
@@ -32,11 +31,6 @@ from tests.conftest import CHURN_EXAMPLES
 #: an asymmetric space).
 IDENTITY_SCENARIOS = ("planar_uniform", "clustered", "asymmetric_measured")
 
-#: Tolerance for the subtractively maintained ledger sums (matches the
-#: per-link guard philosophy of the scheduling ledger).
-SUM_ATOL = 1e-9
-
-
 def _fresh_like(dyn: DynamicContext) -> SchedulingContext:
     """A from-scratch context over the dynamic context's current links."""
     act = dyn.active_slots
@@ -55,15 +49,19 @@ def _pinned_radius(space: DecaySpace) -> float:
     return 0.3 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def _run_churn(
-    links: LinkSet, seed: int, events: int, materialize_dist: bool
-) -> DynamicContext:
+def _raw_snapshot(dyn: DynamicContext) -> np.ndarray:
+    """The padded raw affectance as a fresh dense array (both backends)."""
+    a = dyn.raw_affectance
+    if isinstance(a, np.ndarray):
+        return a.copy()
+    return np.array([a.dense_row(s) for s in range(dyn.capacity)])
+
+
+def _run_churn(links: LinkSet, seed: int, events: int) -> DynamicContext:
     """Replay a random churn trace; re-adds old pairs as fresh arrivals."""
     pairs = [(l.sender, l.receiver) for l in links]
     m0 = max(3, links.m // 2)
     dyn = DynamicContext(links.space, pairs[:m0])
-    if materialize_dist:
-        dyn.link_distances
     rng = np.random.default_rng(seed)
     alive = list(range(m0))
     next_pair = m0
@@ -83,7 +81,7 @@ class TestChurnIdentity:
     @settings(max_examples=CHURN_EXAMPLES)
     def test_matrices_byte_identical_after_churn(self, scenario, seed):
         links = build_scenario(scenario, n_links=12, seed=3)
-        dyn = _run_churn(links, seed, events=25, materialize_dist=True)
+        dyn = _run_churn(links, seed, events=25)
         fresh = _fresh_like(dyn)
         frozen = dyn.freeze()
         assert np.array_equal(frozen.raw_affectance, fresh.raw_affectance)
@@ -97,7 +95,7 @@ class TestChurnIdentity:
     @settings(max_examples=CHURN_EXAMPLES)
     def test_schedules_byte_identical_after_churn(self, scenario, seed):
         links = build_scenario(scenario, n_links=12, seed=3)
-        dyn = _run_churn(links, seed, events=20, materialize_dist=False)
+        dyn = _run_churn(links, seed, events=20)
         fresh = _fresh_like(dyn)
         frozen = dyn.freeze()
         for admission in ("bounded_growth", "general", "adaptive"):
@@ -111,29 +109,24 @@ class TestChurnIdentity:
     @pytest.mark.parametrize("scenario", IDENTITY_SCENARIOS)
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=CHURN_EXAMPLES)
-    def test_ledger_sums_track_fresh_sums(self, scenario, seed):
+    def test_free_slots_carry_no_residue(self, scenario, seed):
         links = build_scenario(scenario, n_links=12, seed=3)
-        dyn = _run_churn(links, seed, events=25, materialize_dist=False)
+        dyn = _run_churn(links, seed, events=25)
         act = dyn.active_slots
-        a = _fresh_like(dyn).affectance
-        assert np.allclose(dyn.ledger_in_sums[act], a.sum(axis=0), atol=SUM_ATOL)
-        assert np.allclose(dyn.ledger_out_sums[act], a.sum(axis=1), atol=SUM_ATOL)
         # Free slots carry no residue that could leak into a later reuse.
         free = np.setdiff1d(np.arange(dyn.capacity), act)
         assert np.all(dyn.raw_affectance[free] == 0.0)
         assert np.all(dyn.raw_affectance[:, free] == 0.0)
 
     def test_sub_metric_space_uses_capacity_exponent(self):
-        """zeta < 1 regression: distances must clamp the exponent at 1,
-        exactly as SchedulingContext.zeta_capacity does — both in the
-        materialized matrix and in incrementally appended rows."""
+        """zeta < 1 regression: the frozen context's distances clamp the
+        exponent at 1, exactly as a fresh context's do, after churn."""
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 10, size=(16, 2))
         space = DecaySpace.from_points(pts, 0.5)
         assert space.metricity() < 1.0
         pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         dyn = DynamicContext(space, pairs[:5])
-        dyn.link_distances  # materialize before churn
         for s, r in pairs[5:]:
             dyn.add_link(s, r)
         dyn.remove_links([1])
@@ -142,18 +135,6 @@ class TestChurnIdentity:
         assert frozen.zeta_capacity == 1.0
         assert np.array_equal(frozen.link_distances, fresh.link_distances)
         assert frozen.repeated_capacity() == fresh.repeated_capacity()
-
-    def test_distances_materialized_late_match_incremental(self):
-        """Distances requested only after churn equal maintained ones."""
-        links = build_scenario("clustered", n_links=12, seed=3)
-        eager = _run_churn(links, seed=5, events=20, materialize_dist=True)
-        lazy = _run_churn(links, seed=5, events=20, materialize_dist=False)
-        act = eager.active_slots
-        assert np.array_equal(act, lazy.active_slots)
-        ix = np.ix_(act, act)
-        assert np.array_equal(
-            eager.link_distances[ix], lazy.link_distances[ix]
-        )
 
 
 class TestBatchedArrivals:
@@ -167,7 +148,6 @@ class TestBatchedArrivals:
         pairs = [(l.sender, l.receiver) for l in links]
         rng = np.random.default_rng(seed)
         m0 = int(rng.integers(0, 6))
-        with_dist = rng.random() < 0.5
         batches = []
         for _ in range(int(rng.integers(1, 4))):
             k = int(rng.integers(1, 7))
@@ -184,9 +164,6 @@ class TestBatchedArrivals:
             if m0 >= 3:  # fragment the free list so slot reuse is exercised
                 seq.remove_links([1])
                 bat.remove_links([1])
-            if with_dist and not backend:
-                seq.link_distances
-                bat.link_distances
             for batch, powers in batches:
                 got = [
                     seq.add_link(s, r, power=p)
@@ -201,25 +178,14 @@ class TestBatchedArrivals:
 
         seq, bat = replay()
         assert np.array_equal(seq.raw_affectance, bat.raw_affectance)
-        assert np.array_equal(seq.affectance, bat.affectance)
-        assert np.array_equal(seq.ledger_in_sums, bat.ledger_in_sums)
-        assert np.array_equal(seq.ledger_out_sums, bat.ledger_out_sums)
-        assert np.array_equal(seq.link_distances, bat.link_distances)
         # Sparse, at a pinned radius that drops pairs: the adjacency is
-        # identical entry for entry; the ledger sums absorb the entries
-        # in another order (per arrival vs per batch), so they agree to
-        # rounding only.
+        # identical entry for entry.
         seq, bat = replay(backend="sparse", radius=_pinned_radius(links.space))
         for s in range(seq.capacity):
             want = seq._row[s] + seq._col[s]
             for a, b in zip(want, bat._row[s] + bat._col[s]):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
-        for got, want in (
-            (bat.ledger_in_sums, seq.ledger_in_sums),
-            (bat.ledger_out_sums, seq.ledger_out_sums),
-        ):
-            assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_batch_into_empty_context(self):
         links = build_scenario("planar_uniform", n_links=6, seed=1)
@@ -315,7 +281,7 @@ class TestDynamicContextMechanics:
             dyn.raw_affectance[np.ix_(act, act)], ctx.raw_affectance
         )
         assert np.array_equal(
-            dyn.link_distances[np.ix_(act, act)], ctx.link_distances
+            dyn.freeze().link_distances, ctx.link_distances
         )
         # Mutating the view must not disturb the source context.
         dyn.remove_links([0])
@@ -346,13 +312,13 @@ class TestDynamicContextMechanics:
         for backend in ("dense", "sparse"):
             dyn = DynamicContext(links.space, pairs, backend=backend)
             m, act = dyn.m, dyn.active_slots.copy()
-            ins = dyn.ledger_in_sums.copy()
+            raw = _raw_snapshot(dyn)
             for ids in bad_ids:
                 with pytest.raises(LinkError, match="integers"):
                     dyn.remove_links(ids)
             assert dyn.m == m
             assert np.array_equal(dyn.active_slots, act)
-            assert np.array_equal(dyn.ledger_in_sums, ins)
+            assert np.array_equal(_raw_snapshot(dyn), raw)
             # Python ints, numpy integer scalars and integer arrays work.
             dyn.remove_links(np.int64(1))
             dyn.remove_links(np.array([2], dtype=np.int32))
@@ -370,7 +336,7 @@ class TestDynamicContextMechanics:
         for backend in ("dense", "sparse"):
             dyn = DynamicContext(links.space, pairs, backend=backend)
             m, act = dyn.m, dyn.active_slots.copy()
-            ins = dyn.ledger_in_sums.copy()
+            raw = _raw_snapshot(dyn)
             for batch in ([(0.9, 5.7)], [(True, 2)], [good, (1.0, 2)]):
                 with pytest.raises(LinkError, match="integers"):
                     dyn.add_links(batch)
@@ -378,7 +344,7 @@ class TestDynamicContextMechanics:
                 DynamicContext(links.space, [(0.9, 5.7)], backend=backend)
             assert dyn.m == m
             assert np.array_equal(dyn.active_slots, act)
-            assert np.array_equal(dyn.ledger_in_sums, ins)
+            assert np.array_equal(_raw_snapshot(dyn), raw)
             slots = dyn.add_links([(np.int64(good[0]), np.int32(good[1]))])
             assert (dyn.senders[slots[0]], dyn.receivers[slots[0]]) == good
 

@@ -244,6 +244,19 @@ class TestRepairMechanics:
         with pytest.raises(LinkError):
             rs.on_arrivals([0])  # already scheduled
 
+    @pytest.mark.parametrize(
+        "name", ["cascade", "rebuild_every", "max_slots", "max_evictions"]
+    )
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, "2"])
+    def test_non_integer_settings_refused(self, name, value):
+        """Counts are never truncated: ``rebuild_every=2.5`` used to fire
+        at ``events % 2.5 == 0``."""
+        dyn, _ = self._dyn()
+        with pytest.raises(LinkError, match=f"{name} must be an integer"):
+            OnlineRepairScheduler(dyn, **{name: value})
+        # Numpy integers are integers.
+        OnlineRepairScheduler(dyn, **{name: np.int64(2)})
+
     def test_priority_eviction_prefers_low_queue_mass(self):
         """With priorities wired, the cascade evicts the candidate with
         the smallest queue mass instead of the shortest link."""

@@ -180,7 +180,7 @@ class TestCapacityRepairMechanics:
         }:
             # Joined an existing slot: the threshold must have held
             # against exactly the members it joined.
-            a = dyn.affectance
+            a = np.minimum(dyn.raw_affectance, 1.0)
             members = np.asarray(sorted(placed_with), dtype=int)
             combined = float(
                 a[members, v].sum() + a[v, members].sum()
@@ -219,6 +219,10 @@ class TestCapacityRepairMechanics:
             CapacityRepairScheduler(dyn, max_slots=0)
         with pytest.raises(LinkError):
             CapacityRepairScheduler(dyn, max_evictions=-1)
+        for name in ("compaction_every", "compaction_probes", "cascade"):
+            for value in (1.5, float("nan"), True):
+                with pytest.raises(LinkError, match="must be an integer"):
+                    CapacityRepairScheduler(dyn, **{name: value})
 
     def test_stability_wiring_end_to_end(self):
         """run_queue_simulation(scheduler="capacity_repair") serves a
@@ -245,3 +249,58 @@ class TestCapacityRepairMechanics:
         )
         assert rebuilt.scheduler_rebuilds == rebuilt.churn_events
         assert rebuilt.repair_ratio == 1.0
+
+
+class TestClipOnRead:
+    """The context stores raw affectance; the capacity rule reads the
+    clipped form ``min(1, a)`` (Algorithm 1's accounting)."""
+
+    @staticmethod
+    def _huge_blocker():
+        """Links v, u, w with ``a[u, v]`` ~ 1e21: u's sender sits 1e-7
+        from v's receiver, while w alone puts ~0.6 on v."""
+        from repro.core.decay import DecaySpace
+
+        pts = np.array(
+            [
+                [0.0, 0.0], [1.0, 0.0],  # v
+                [1.0 + 1e-7, 0.0], [2.0, 0.0],  # u
+                [1.0, 1.186], [1.0, 2.186],  # w
+            ]
+        )
+        space = DecaySpace.from_points(pts, 3.0)
+        dyn = DynamicContext(space, [(0, 1), (2, 3), (4, 5)])
+        return dyn, 0, 1, 2
+
+    def test_eviction_threshold_reads_clipped_terms(self):
+        """Evicting u leaves w's 0.6 on v: the threshold refuses.  An
+        unclipped subtraction ``(1e21 + 0.6) - 1e21`` reads 0 and would
+        admit v over the threshold."""
+        dyn, v, u, w = self._huge_blocker()
+        a = dyn.raw_affectance
+        assert a[u, v] > 1e20 and 0.5 < a[w, v] < 0.7
+        rs = CapacityRepairScheduler(dyn, anchor=False)
+        rs._install([[u, w]])
+        cand = np.array([u, w])
+        col = a[cand, v]
+        mask = rs._eviction_mask(v, 0, cand, col, float(col.sum()))
+        clip = np.minimum(a, 1.0)
+        rest = clip[w, v] + clip[v, w]
+        assert rest > rs.ADMISSION_THRESHOLD
+        assert not mask[0]
+
+    def test_slot_admission_sums_clip_raw_entries(self):
+        from repro.algorithms.context import slot_admission_sums
+
+        dyn, v, u, w = self._huge_blocker()
+        members = np.array([v, u, w])
+        clip = np.minimum(dyn.raw_affectance, 1.0)[np.ix_(members, members)]
+        want = clip.sum(axis=0) + clip.sum(axis=1)
+        got = slot_admission_sums(dyn.raw_affectance, members)
+        assert np.array_equal(got, want)
+        sparse = DynamicContext(
+            dyn.space, [(0, 1), (2, 3), (4, 5)], backend="sparse",
+            radius=10.0,
+        )
+        got = slot_admission_sums(sparse.raw_affectance, members)
+        assert np.array_equal(got, want)

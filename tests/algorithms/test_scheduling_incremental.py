@@ -157,8 +157,8 @@ class TestRepeatedCapacityIncremental:
 
 class TestAdaptiveAnchorsUnderChurn:
     """Cross-validation of the capacity-repair anchors: under churn,
-    ``admission="adaptive"`` re-anchors (freeze-injected matrices, never
-    a rebuild) must equal the *static* adaptive schedule computed on a
+    ``admission="adaptive"`` re-anchors (a freeze-copied raw affectance,
+    never an affectance rebuild) must equal the *static* adaptive schedule computed on a
     freshly built :class:`SchedulingContext` over the surviving links —
     at every ``rebuild_every`` anchor, on both a high-zeta walled space
     and the dense urban workload."""

@@ -37,7 +37,10 @@ from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.core.affectance_sparse import build_sparse_affectance
+from repro.core.affectance_sparse import (
+    build_sparse_affectance,
+    build_sparse_link_distances,
+)
 from repro.core.decay import DecaySpace
 from repro.core.links import LinkSet
 from repro.errors import LinkError
@@ -327,9 +330,6 @@ class TestSparseEventPath:
                 ):
                     assert np.array_equal(idx, act[f_idx])
                     assert np.array_equal(val, f_val)
-            clip = sp.clip
-            assert np.allclose(dyn.ledger_in_sums[act], clip.sum_axis0())
-            assert np.allclose(dyn.ledger_out_sums[act], clip.sum_axis1())
 
 
 class TestTailCertificate:
@@ -445,6 +445,45 @@ class TestBackendValidation:
         # index from a pattern build.
         assert space._cache == {}
         assert space.geometry._node_index_cache == {}
+
+    @pytest.mark.parametrize(
+        "eps,radius",
+        [
+            (float("nan"), None),
+            (0.0, None),
+            (1e-2, float("nan")),
+            (1e-2, 0.0),
+        ],
+    )
+    def test_public_builder_refuses_bad_args(self, eps, radius, monkeypatch):
+        """``build_sparse_affectance`` refuses NaN like a non-positive
+        value, before any work: a NaN eps used to build the complete
+        pattern and certify ``eps=nan``."""
+        links = make_planar_links(6, alpha=3.0, seed=0)
+        p = np.ones(links.m)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a cell index")
+
+        monkeypatch.setattr(CellIndex, "__init__", refuse)
+        match = "eps must be positive" if radius is None else "radius"
+        with pytest.raises(LinkError, match=match):
+            build_sparse_affectance(links, p, eps=eps, radius=radius)
+
+    @pytest.mark.parametrize(
+        "zeta,radius",
+        [(float("nan"), None), (0.0, None), (2.0, float("nan")), (2.0, -1.0)],
+    )
+    def test_sparse_distances_refuse_bad_args(self, zeta, radius, monkeypatch):
+        links = make_planar_links(6, alpha=3.0, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a cell index")
+
+        monkeypatch.setattr(CellIndex, "__init__", refuse)
+        match = "zeta must be positive" if radius is None else "radius"
+        with pytest.raises(LinkError, match=match):
+            build_sparse_link_distances(links, zeta, radius=radius)
 
     def test_check_context_pins_backend(self):
         links = make_planar_links(8, alpha=3.0, seed=0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decay import DecaySpace
 from repro.core.links import LinkSet
@@ -14,6 +16,26 @@ from repro.core.separation import (
     separation_of_set,
     separation_violations,
 )
+from repro.scenarios import (
+    build_dynamic_scenario,
+    build_scenario,
+    scenario_names,
+)
+from tests.conftest import CHURN_EXAMPLES
+
+
+def reference_link_distance_matrix(links: LinkSet, zeta: float) -> np.ndarray:
+    """The node-pool form: raise all of ``f`` to ``1/zeta``, then gather
+    the link blocks.  ``link_distance_matrix`` raises only the gathered
+    blocks; it must equal this bit for bit."""
+    d = links.space.f ** (1.0 / zeta)
+    s, r = links.senders, links.receivers
+    sv_rw = d[np.ix_(s, r)]
+    sv_sw = d[np.ix_(s, s)]
+    rv_rw = d[np.ix_(r, r)]
+    out = np.minimum(np.minimum(sv_rw, sv_rw.T), np.minimum(sv_sw, rv_rw))
+    np.fill_diagonal(out, np.diagonal(sv_rw))
+    return out
 
 
 @pytest.fixture
@@ -51,6 +73,41 @@ class TestDistanceMatrix:
         d = link_distance_matrix(colinear_links)
         # Metricity of a colinear alpha=2 space is 2.
         assert d[0, 1] == pytest.approx(9.0, rel=1e-3)
+
+
+class TestBlockFormMatchesNodePool:
+    """``link_distance_matrix`` takes the power of the three link blocks
+    of ``f`` only; the entries must equal the node-pool form's."""
+
+    @given(
+        name=st.sampled_from(scenario_names()),
+        seed=st.integers(0, 2**16),
+        zeta=st.sampled_from([None, 0.5, 1.0, 2.5]),
+    )
+    @settings(max_examples=CHURN_EXAMPLES, deadline=None)
+    def test_registry_scenarios(self, name, seed, zeta):
+        links = build_scenario(name, n_links=9, seed=seed)
+        z = links._resolve_zeta(zeta)
+        got = link_distance_matrix(links, z)
+        assert np.array_equal(got, reference_link_distance_matrix(links, z))
+
+    @given(
+        substrate=st.sampled_from(["planar_uniform", "asymmetric_measured"]),
+        seed=st.integers(0, 2**16),
+        zeta=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=CHURN_EXAMPLES, deadline=None)
+    def test_churn_pools(self, substrate, seed, zeta):
+        """A churn pool holds more nodes than the live links use
+        (n > 2m), so the block form skips most of ``f``."""
+        scn = build_dynamic_scenario(
+            "poisson_churn", n_links=8, seed=seed, horizon=10,
+            substrate=substrate,
+        )
+        links = scn.initial_links()
+        assert links.space.n > 2 * links.m
+        want = reference_link_distance_matrix(links, zeta)
+        assert np.array_equal(link_distance_matrix(links, zeta), want)
 
 
 class TestSeparationPredicates:

@@ -71,8 +71,8 @@ CHURN_REPLAY_M2000_BUDGET = 20.0
 REPAIR_STABILITY_M2000_BUDGET = 45.0
 
 #: Capacity-repair tier (PR-5): the same m=2000 churn workload served by
-#: the capacity-guaranteed scheduler (repeated-capacity anchors off
-#: freeze-injected matrices, Algorithm-1 threshold probes per placement,
+#: the capacity-guaranteed scheduler (repeated-capacity anchors over a
+#: freeze-copied raw affectance, Algorithm-1 threshold probes per placement,
 #: compaction every 16 events).  Observed on a busy-VM core: ~1.3 s
 #: end-to-end for the TDMA stability run — the budget catches a
 #: regression to per-event re-peeling (~0.3 s/event x ~20 events alone)
@@ -241,9 +241,10 @@ def test_repair_mode_stability_m2000_under_budget(churn_m2000):
 
 
 def test_capacity_repair_stability_m2000_under_budget(churn_m2000):
-    """The capacity-repair TDMA run at m=2000: peeled-slot anchors via
-    freeze-injected matrix copies, threshold-guarded local repair per
-    event, opportunistic compaction — zero re-anchors, zero rebuilds."""
+    """The capacity-repair TDMA run at m=2000: peeled-slot anchors over
+    a freeze-copied raw affectance (never an affectance rebuild),
+    threshold-guarded local repair per event, opportunistic compaction —
+    zero re-anchors, zero rebuilds."""
     links = churn_m2000.initial_links()
     ctx = SchedulingContext(links, zeta=3.2)
     start = time.perf_counter()

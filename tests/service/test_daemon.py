@@ -169,6 +169,22 @@ class TestConfig:
         with pytest.raises(SimulationError, match="compaction_every"):
             DaemonConfig(kind="first_fit", compaction_every=4)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cascade", "rebuild_every", "max_slots", "max_evictions",
+            "compaction_every", "batch",
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, 1.5, float("nan"), True])
+    def test_non_integer_counts_refused(self, name, value):
+        """A checkpoint stores counts as int64: ``rebuild_every=2.5``
+        used to come back as 2, ``batch=1.5`` as 1, and a NaN broke
+        ``as_arrays`` with a bare ValueError."""
+        match = f"{name} must be an integer"
+        with pytest.raises(SimulationError, match=match):
+            DaemonConfig(kind="capacity", **{name: value})
+
     def test_array_roundtrip(self):
         config = DaemonConfig(
             kind="capacity",
@@ -437,6 +453,36 @@ class TestCheckpointZeta:
             assert np.isnan(state["ctx_zeta"]).all()
             resumed = SchedulerDaemon.restore(f"{tmp}/ckpt", scn.space)
             assert resumed.core.zeta == scn.space.metricity()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            _drive(run(tmp))
+
+
+    def test_capacity_checkpoint_carries_resolved_zeta(self, monkeypatch):
+        """An unpinned dense capacity daemon resolves the metricity when
+        its repairer is built; the archive carries it, so a restore
+        computes no metricity."""
+        scn = _scn(seed=11)
+
+        async def run(tmp):
+            daemon = build_daemon(scn, config=DaemonConfig(kind="capacity"))
+            assert daemon.core._zeta_arg is None
+            await daemon.start()
+            await _replay(daemon, list(scn.events)[:10])
+            await daemon.drain()
+            daemon.checkpoint(f"{tmp}/ckpt")
+            await daemon.stop()
+            _, state = load_scheduler_state(f"{tmp}/ckpt")
+            assert np.isfinite(state["ctx_zeta"]).all()
+            assert state["ctx_zeta"][0] == scn.space.metricity()
+
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("restore computed the metricity")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DecaySpace, "metricity", refuse)
+                resumed = SchedulerDaemon.restore(f"{tmp}/ckpt", scn.space)
+            assert _state_bytes(resumed) == _state_bytes(daemon)
 
         with tempfile.TemporaryDirectory() as tmp:
             _drive(run(tmp))
