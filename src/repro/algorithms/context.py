@@ -43,14 +43,15 @@ import numpy as np
 
 from repro.core.affectance import (
     affectance_matrix,
+    as_view,
     in_affectances_within,
     noise_constants,
 )
 from repro.core.affectance_sparse import (
-    _DENSE_BLOCK_LIMIT,
     SparseAffectance,
     SparseLinkDistances,
     _SparseView,
+    _concat,
     build_sparse_affectance,
     build_sparse_link_distances,
 )
@@ -89,27 +90,22 @@ class _AffectanceLedger:
     never touched.
     """
 
-    __slots__ = ("a", "dense", "mask", "in_sum", "out_sum", "count")
+    __slots__ = ("a", "mask", "in_sum", "out_sum", "count")
 
     def __init__(self, a) -> None:
+        self.a = a = as_view(a)
         m = a.shape[0]
-        self.a = a
-        self.dense = isinstance(a, np.ndarray)
         self.mask = np.ones(m, dtype=bool)
-        self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
-        self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
+        self.in_sum = a.sum_axis0()
+        self.out_sum = a.sum_axis1()
         self.count = m
 
     def remove_slot(self, members: Sequence[int]) -> None:
         """Peel a whole slot from the member set by subtraction."""
         idx = np.asarray(members, dtype=int)
         self.mask[idx] = False
-        if self.dense:
-            self.in_sum -= self.a[idx].sum(axis=0)
-            self.out_sum -= self.a[:, idx].sum(axis=1)
-        else:
-            self.in_sum -= self.a.rows_sum(idx)
-            self.out_sum -= self.a.cols_sum(idx)
+        self.in_sum -= self.a.rows_sum(idx)
+        self.out_sum -= self.a.cols_sum(idx)
         self.count -= idx.size
 
 
@@ -128,10 +124,7 @@ def slot_admission_sums(
     threshold-guarded slot merges safe.
     """
     idx = np.asarray(members, dtype=int)
-    if isinstance(a, np.ndarray):
-        block = a[np.ix_(idx, idx)]
-    else:
-        block = a.block(idx, idx)
+    block = as_view(a).block(idx, idx)
     np.minimum(block, 1.0, out=block)
     return block.sum(axis=0) + block.sum(axis=1)
 
@@ -161,8 +154,9 @@ def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
 
     Returns each slot's members in admission order.
     """
+    a = as_view(a)
     n = a.shape[0]
-    dense = isinstance(a, np.ndarray)
+    dense = a.dense
     slots: list[list[int]] = []
     ledgers: list[np.ndarray] = []
     if dense:
@@ -173,10 +167,8 @@ def _first_fit_slots(a, order: Iterable[int]) -> list[list[int]]:
         label = np.full(n, -1, dtype=np.int64)
     for v in order:
         v = int(v)
-        if dense:  # the support is the whole row
-            idx, val = slice(None), a[v]
-        else:
-            idx, val = a.row(v)
+        idx, val = a.row(v)  # dense: the support is the whole row
+        if not dense:
             lab = label[idx]
         for t, in_aff in enumerate(ledgers):
             if in_aff[v] > 1.0:
@@ -516,20 +508,6 @@ class SchedulingContext:
     # ------------------------------------------------------------------
     # Subset utilities
     # ------------------------------------------------------------------
-    def _active_order(self, active: Iterable[int] | None) -> np.ndarray:
-        """``self.order`` restricted to ``active`` (all links when None).
-
-        Restricting the precomputed global order is float-identical to
-        ordering a rebuilt subset: both sort the same lengths with the same
-        index tie-break.
-        """
-        order = self.order
-        if active is None:
-            return order
-        mask = np.zeros(self.m, dtype=bool)
-        mask[np.asarray(list(active), dtype=int)] = True
-        return order[mask[order]]
-
     def in_affectances(self, subset: Iterable[int]) -> np.ndarray:
         """``a_S(v)`` for every ``v`` in ``subset`` (unclipped, aligned)."""
         idx = np.asarray(list(subset), dtype=int)
@@ -575,7 +553,7 @@ class SchedulingContext:
         no separation requirement the scan degenerates to the order itself.
         """
         sparse = self._backend == "sparse"
-        a = self.affectance
+        a = as_view(self.affectance)
         if separation:
             if sparse:
                 # Every pair below the stored radius is kept exactly and
@@ -607,12 +585,8 @@ class SchedulingContext:
                     continue
             x.append(v)
             if not all_auto:
-                if sparse:
-                    a.add_row_to(in_aff, v)
-                    a.add_col_to(out_aff, v)
-                else:
-                    in_aff += a[v]  # l_v now affects every other link
-                    out_aff += a[:, v]  # each link's out-affectance onto X grows
+                a.add_row_to(in_aff, v)  # l_v now affects every other link
+                a.add_col_to(out_aff, v)  # and each link's affectance on X
             if separation:
                 if sparse:
                     nbr, nd = sdist.col(v)
@@ -622,32 +596,28 @@ class SchedulingContext:
         return x
 
     def capacity_bounded_growth(
-        self, active: Iterable[int] | None = None
+        self,
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Algorithm 1 (Sec. 4.1) on the ``active`` links.
+        """Algorithm 1 (Sec. 4.1) on all links.
 
-        Returns ``(selected, candidate)`` as tuples of global link indices:
-        the feasible output ``S`` and the internal candidate set ``X``.
+        Returns ``(selected, candidate)`` as tuples of link indices: the
+        feasible output ``S`` and the internal candidate set ``X``.
         """
-        x = self._greedy_admission(
-            self._active_order(active), 0.5, separation=True
-        )
+        x = self._greedy_admission(self.order, 0.5, separation=True)
         return self._final_filter(self.affectance, x), tuple(x)
 
     def capacity_general(
-        self,
-        active: Iterable[int] | None = None,
-        admission_threshold: float = 0.5,
+        self, admission_threshold: float = 0.5
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The general-metric greedy (no separation check) on ``active``.
+        """The general-metric greedy (no separation check) on all links.
 
-        Returns ``(selected, candidate)`` in global indices; the power
+        Returns ``(selected, candidate)`` as link indices; the power
         assignment is the context's (monotonicity is the caller's
         responsibility — see
         :func:`repro.algorithms.capacity_general.capacity_general_metric`).
         """
         x = self._greedy_admission(
-            self._active_order(active), admission_threshold, separation=False
+            self.order, admission_threshold, separation=False
         )
         return self._final_filter(self.affectance, x), tuple(x)
 
@@ -814,7 +784,9 @@ class _DynSparseView(_SparseView):
     the view tracks churn and capacity growth without invalidation.
     Adjacency arrays are kept index-sorted by every mutation path
     (adopted CSR slices are sorted, insertion re-sorts the touched slots,
-    removal filters in place), so reads are allocation-free.  Consumers
+    removal filters in place), so reads are allocation-free, and each
+    member sum scatters them in member order — the order of numpy's
+    axis-0 reduction of the dense member rows, bit for bit.  Consumers
     of the clipped form clip what they gather.
     """
 
@@ -833,38 +805,14 @@ class _DynSparseView(_SparseView):
     def col(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         return self._dyn._col[int(v)]
 
-    def rows_sum(self, members) -> np.ndarray:
-        """Member-row sum, reading the maintained adjacency directly.
-
-        Same two regimes as the mixin (dense-block twin within the
-        budget, bincount scatter beyond it), but the scatter path skips
-        the per-row ``row()`` call: the value arrays are gathered
-        straight from the adjacency lists, in member order, so the
-        floats match the per-row reads bit for bit.
-        """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            return super().rows_sum(members)
-        row = self._dyn._row
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        keep_i = parts_i.append
-        keep_v = parts_v.append
-        # tolist(): plain-int indices — numpy scalars pay ~10x per list
-        # subscript in this, the hottest loop of the repair path.
-        for r in members.tolist():
-            idx, val = row[r]
-            if idx.size:
-                keep_i(idx)
-                keep_v(val)
-        if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
+    def gather(
+        self, members: np.ndarray, cols: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_SparseView.gather` straight from the adjacency lists:
+        plain-int subscripts, without a ``row()`` call per member — the
+        hottest loop of the repair path."""
+        adj = self._dyn._col if cols else self._dyn._row
+        return _concat(list(map(adj.__getitem__, members.tolist())))
 
 
 class DynamicContext:

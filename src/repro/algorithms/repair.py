@@ -13,9 +13,12 @@ per-event path reads only a link's stored row/column support:
 * **departures** drop the whole batch from the labels first, then bring
   each touched slot's ledger (its running in-affectance sums) back to
   exact: in place at the departed row's support when the context
-  recorded it, otherwise by marking the ledger stale for a full
-  recompute on the next probe.  Removing a link can never break
-  feasibility.
+  recorded it (sparse backend), otherwise by marking the ledger stale
+  for a full recompute on the next probe.  Both re-sum the members in
+  ascending order with one member-order scatter — numpy's axis-0
+  reduction of the dense member rows, bit for bit — so a position
+  repaired in place holds the float a recompute would give it, at
+  every slot size.  Removing a link can never break feasibility.
 * **arrivals** are greedily placed into the first existing slot that
   stays feasible with them added.  A probe sums the arrival's
   in-affectance over the slot members in its column support and checks
@@ -76,16 +79,8 @@ from repro.algorithms.context import (
     _first_fit_slots,
     slot_admission_sums,
 )
-from repro.core.affectance import in_affectances_within
-from repro.core.affectance_sparse import (
-    _DENSE_BLOCK_LIMIT,
-    add_row_to,
-    dense_row,
-    gather_col,
-    gather_row,
-    member_block,
-    rows_sum,
-)
+from repro.core.affectance import as_view, in_affectances_within
+from repro.core.affectance_sparse import _scatter
 from repro.errors import LinkError
 
 __all__ = [
@@ -526,11 +521,11 @@ class OnlineRepairScheduler:
         When the context recorded the departed rows' patterns (sparse
         backend; :attr:`DynamicContext.last_removed_rows`), each touched
         ledger is then *repaired in place* at those entries — exactly,
-        in ascending member order, from the already-zeroed matrix — so
-        the next probe pays O(degree), not a whole-slot recompute.
-        Otherwise (dense backend, or departures applied outside a
-        context removal) the slot is marked stale and recomputed in full
-        on the next probe.
+        in ascending member order, from the already-zeroed matrix: there
+        the floats of a whole-slot recompute, at O(degree).  Otherwise
+        (dense backend, or departures applied outside a context removal)
+        the slot is marked stale and recomputed in full on the next
+        probe.
         """
         dropped = []
         for s in map(int, departed):
@@ -545,7 +540,7 @@ class OnlineRepairScheduler:
         touched: dict[int, list[np.ndarray]] = {}
         for s, t in dropped:
             pattern = removed.get(s)
-            if pattern is None or not self._eager_repair_ok(t):
+            if pattern is None:
                 self._in_sum[t] = None  # stale; recompute on next probe
             else:
                 touched.setdefault(t, []).append(pattern)
@@ -553,8 +548,7 @@ class OnlineRepairScheduler:
         # each position is recomputed from scratch, so the floats do not
         # depend on the grouping.
         for t, patterns in touched.items():
-            if self._in_sum[t] is not None:
-                self._repair_ledger(t, np.unique(np.concatenate(patterns)))
+            self._repair_ledger(t, np.unique(np.concatenate(patterns)))
         if departed:
             self.stats.departures += len(departed)
             self._compiled = None
@@ -588,6 +582,12 @@ class OnlineRepairScheduler:
         """Per-event epilogue hook (subclasses add compaction here)."""
         self.slot_trajectory.append(self.slot_count)
 
+    @property
+    def _view(self):
+        """The context's raw affectance under the view protocol (fetched
+        per use: capacity growth replaces a dense matrix)."""
+        return as_view(self.dyn.raw_affectance)
+
     def _ledger(self, t: int) -> np.ndarray:
         """Slot ``t``'s in-affectance sums, recomputed when stale.
 
@@ -601,9 +601,7 @@ class OnlineRepairScheduler:
         v = self._in_sum[t]
         cap = self.dyn.capacity
         if v is None or v.shape[0] != cap:
-            members = self._member_array(t)
-            a = self.dyn.raw_affectance
-            v = rows_sum(a, members) if members.size else np.zeros(cap)
+            v = self._view.rows_sum(self._member_array(t))
             self._in_sum[t] = v
         return v
 
@@ -643,35 +641,18 @@ class OnlineRepairScheduler:
         view ``rows``/``cols`` are the members inside ``v``'s stored
         column/row support, picked through the label array — O(degree);
         every other member's term is an unstored zero.  A dense row's
-        support is the whole row, so both are every member, ascending.
+        support is the whole row, so both are every member, ascending,
+        gathered from the member array.
         """
-        if isinstance(a, np.ndarray):
+        if a.dense:
             mem = self._member_array(t)
-            return mem, a[mem, v], mem, a[v, mem]
+            return mem, a.gather_col(mem, v), mem, a.gather_row(v, mem)
         label = self._labels()
         ci, cv = a.col(v)
         ri, rv = a.row(v)
         hc = label[ci] == t
         hr = label[ri] == t
         return ci[hc], cv[hc], ri[hr], rv[hr]
-
-    def _eager_repair_ok(self, t: int) -> bool:
-        """May slot ``t``'s ledger be repaired in place (vs marked stale)?
-
-        In-place repair reproduces the *scatter* accumulation order, so
-        it is only taken in the beyond-dense-block regime where that is
-        the recompute's own order; within the block budget the recompute
-        uses the dense-twin pairwise reduction and staleness keeps the
-        historical floats bit for bit.  A ledger already stale (or held
-        at an outgrown capacity) stays on the recompute path.
-        """
-        led = self._in_sum[t]
-        cap = self.dyn.capacity
-        return (
-            led is not None
-            and led.shape[0] == cap
-            and self._sizes[t] * cap > _DENSE_BLOCK_LIMIT
-        )
 
     def _repair_ledger(self, t: int, positions: np.ndarray) -> None:
         """Re-exact slot ``t``'s ledger at ``positions`` only.
@@ -683,23 +664,18 @@ class OnlineRepairScheduler:
         ``t``.  Entries outside ``positions`` keep their maintained
         values: the departed row contributed nothing there, so they carry
         the same additive history they would hold had the departure
-        never overlapped them.
+        never overlapped them.  A stale ledger, or one held at an
+        outgrown capacity, is left for the next probe's recompute.
         """
-        if positions.size == 0:
+        led = self._in_sum[t]
+        if led is None or led.shape[0] != self.dyn.capacity:
             return
-        a = self.dyn.raw_affectance
-        cols = [a.col(p) for p in positions.tolist()]
-        cat_i = np.concatenate([i for i, _ in cols])
-        cat_v = np.concatenate([v for _, v in cols])
-        ranks = np.repeat(np.arange(len(cols)), [i.size for i, _ in cols])
+        cat_i, cat_v, lens = self._view.gather(positions, cols=True)
+        ranks = np.repeat(np.arange(lens.size), lens)
         hit = self._labels()[cat_i] == t
         # Column indices ascend, so each position's surviving values sit
-        # in ascending member order; bincount's C loop accumulates
-        # weights sequentially in input order, so the per-position sums
-        # match the recompute's scatter order float for float.
-        self._in_sum[t][positions] = np.bincount(
-            ranks[hit], weights=cat_v[hit], minlength=len(cols)
-        )
+        # in ascending member order, the order the recompute scatters in.
+        led[positions] = _scatter(ranks[hit], cat_v[hit], lens.size)
 
     def _admits(self, v: int, t: int) -> bool:
         """Extra admission rule hook beyond exact feasibility.
@@ -721,7 +697,7 @@ class OnlineRepairScheduler:
         outside the row support gains an exact ``+0.0`` and already
         carries load at most 1, so skipping it changes no comparison.
         """
-        a = self.dyn.raw_affectance
+        a = self._view
         _, col, cols, row = self._slot_terms(a, v, t)
         iv = float(col.sum())
         if iv > 1.0:
@@ -732,7 +708,7 @@ class OnlineRepairScheduler:
         if not self._admits(v, t):
             return False
         ledger[v] = iv  # fresh value; the row add below leaves it intact
-        add_row_to(ledger, a, v)
+        a.add_row_to(ledger, v)
         self._join(v, t)
         return True
 
@@ -778,7 +754,7 @@ class OnlineRepairScheduler:
                 self.stats.deferred += 1
             return False
         self._sizes.append(0)
-        self._in_sum.append(dense_row(self.dyn.raw_affectance, v))
+        self._in_sum.append(self._view.dense_row(v))
         self._member_cache.append(None)
         self._join(v, len(self._sizes) - 1)
         self.stats.opened += 1
@@ -832,7 +808,7 @@ class OnlineRepairScheduler:
         passes exactly the members the full sweep would; a dense view
         evaluates it on every member.
         """
-        a = self.dyn.raw_affectance
+        a = self._view
         best: tuple | None = None  # (key, t, u)
         for t, size in enumerate(self._sizes):
             if not size:
@@ -843,7 +819,7 @@ class OnlineRepairScheduler:
             base = ledger[cols] + row
             is_hot = base > 1.0
             hot = cols[is_hot]
-            if isinstance(a, np.ndarray):
+            if a.dense:
                 cand = cols  # every member
             else:
                 label = self._labels()
@@ -853,10 +829,10 @@ class OnlineRepairScheduler:
                     parts.append(wi[label[wi] == t])
                 cand = np.unique(np.concatenate(parts))
             feasible = self._eviction_mask(
-                v, t, cand, gather_col(a, cand, v), iv
+                v, t, cand, a.gather_col(cand, v), iv
             )
             if hot.size:
-                block = member_block(a, cand, hot)
+                block = a.block(cand, hot)
                 with np.errstate(invalid="ignore"):
                     # inf - inf -> NaN -> False: conservative refusal,
                     # same contract as the base _eviction_mask.
@@ -872,14 +848,15 @@ class OnlineRepairScheduler:
 
     def _evict(self, u: int, t: int) -> None:
         """Remove ``u`` from slot ``t`` (schedule-level only: ``u`` stays
-        active in the context).  The slot's ledger is repaired in place
-        at the positions ``u``'s live row touches — same exact
-        ascending-member recompute as a departure — never a subtractive
-        update, so the sums stay drift-free."""
+        active in the context).  On a sparse view the slot's ledger is
+        repaired in place at the positions ``u``'s live row touches — the
+        same exact ascending-member recompute as a departure — never a
+        subtractive update, so the sums stay drift-free.  A dense row
+        touches every position: the ledger is marked stale instead."""
         self._drop(u, t)
-        a = self.dyn.raw_affectance
-        if isinstance(a, np.ndarray) or not self._eager_repair_ok(t):
-            self._in_sum[t] = None  # dense/stale: full recompute on probe
+        a = self._view
+        if a.dense:
+            self._in_sum[t] = None  # full recompute on the next probe
         else:
             self._repair_ledger(t, a.row(u)[0])
 
@@ -1037,7 +1014,7 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         summed over ``v``'s stored support like the feasibility terms."""
         if not self._sizes[t]:
             return True
-        _, col, _, row = self._slot_terms(self.dyn.raw_affectance, v, t)
+        _, col, _, row = self._slot_terms(self._view, v, t)
         clipped = np.minimum(col, 1.0).sum() + np.minimum(row, 1.0).sum()
         return float(clipped) <= self.ADMISSION_THRESHOLD
 
@@ -1046,10 +1023,10 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
     ) -> np.ndarray:
         """Feasibility *and* threshold for ``v`` if the candidate leaves."""
         mask = super()._eviction_mask(v, t, cand, col, iv)
-        a = self.dyn.raw_affectance
+        a = self._view
         _, col_s, _, row_s = self._slot_terms(a, v, t)
-        col_c = np.minimum(gather_col(a, cand, v), 1.0)
-        row_c = np.minimum(gather_row(a, v, cand), 1.0)
+        col_c = np.minimum(a.gather_col(cand, v), 1.0)
+        row_c = np.minimum(a.gather_row(v, cand), 1.0)
         combined_without = (np.minimum(col_s, 1.0).sum() - col_c) + (
             np.minimum(row_s, 1.0).sum() - row_c
         )

@@ -15,6 +15,12 @@ feasible sets, since a clipped entry implies in-affectance >= 1).
 
 Matrix convention: ``A[w, v] = a_w(v)`` — row is the *acting* link, column
 the *affected* link.  ``a_v(v) = 0`` by definition.
+
+The schedulers read affectance through one access protocol, whichever the
+backend: :func:`as_view` gives a dense matrix the interface of the sparse
+views of :mod:`repro.core.affectance_sparse` (row/column reads, gathers,
+member blocks and member sums), each method the numpy expression the
+callers once inlined.
 """
 
 from __future__ import annotations
@@ -34,6 +40,79 @@ __all__ = [
     "feasible_within",
     "total_affectance",
 ]
+
+
+class _DenseView:
+    """A dense ``(n, n)`` matrix behind the sparse views' interface.
+
+    Each method is the numpy expression on the matrix itself, so reading
+    through the view is float for float the inlined indexing.  A row's
+    support is the whole row: :meth:`row` and :meth:`col` return
+    ``slice(None)`` as their indices.  ``dense`` lets the two kernels
+    that run a different algorithm per backend (first fit's and the
+    repairers' member probes) choose it from the view.
+    """
+
+    __slots__ = ("a",)
+
+    dense = True
+
+    def __init__(self, a: np.ndarray) -> None:
+        self.a = a
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape
+
+    def row(self, v: int) -> tuple[slice, np.ndarray]:
+        return slice(None), self.a[v]
+
+    def col(self, v: int) -> tuple[slice, np.ndarray]:
+        return slice(None), self.a[:, v]
+
+    def gather_row(self, v: int, cols) -> np.ndarray:
+        return self.a[int(v), np.asarray(cols, dtype=int)]
+
+    def gather_col(self, rows, v: int) -> np.ndarray:
+        return self.a[np.asarray(rows, dtype=int), int(v)]
+
+    def block(self, rows, cols) -> np.ndarray:
+        rows = np.asarray(rows, dtype=int)
+        return self.a[np.ix_(rows, np.asarray(cols, dtype=int))]
+
+    def dense_row(self, v: int) -> np.ndarray:
+        return self.a[int(v)].copy()
+
+    def add_row_to(self, out: np.ndarray, v: int) -> None:
+        out += self.a[v]
+
+    def add_col_to(self, out: np.ndarray, v: int) -> None:
+        out += self.a[:, v]
+
+    def rows_sum(self, members) -> np.ndarray:
+        idx = np.asarray(members, dtype=int)
+        if idx.size == 0:
+            return np.zeros(self.a.shape[1])
+        return self.a[idx].sum(axis=0)
+
+    def cols_sum(self, members) -> np.ndarray:
+        return self.a[:, np.asarray(members, dtype=int)].sum(axis=1)
+
+    def sum_axis0(self) -> np.ndarray:
+        return self.a.sum(axis=0)
+
+    def sum_axis1(self) -> np.ndarray:
+        return self.a.sum(axis=1)
+
+    def in_affectances_within(self, subset) -> np.ndarray:
+        idx = np.asarray(subset, dtype=int)
+        return self.a[np.ix_(idx, idx)].sum(axis=0)
+
+
+def as_view(a):
+    """``a`` under the view protocol: a dense matrix is wrapped in a
+    :class:`_DenseView`, a sparse view is returned as it is."""
+    return _DenseView(a) if isinstance(a, np.ndarray) else a
 
 
 def noise_constants_from_lengths(
@@ -138,15 +217,11 @@ def in_affectances_within(
     """Vector of ``a_S(v)`` for every ``v`` in ``subset`` (aligned to it).
 
     ``a`` is either a dense affectance matrix or a sparse view from
-    :mod:`repro.core.affectance_sparse` (which computes the same member
-    block — identical float-for-float whenever the sparse pattern holds
-    every pair of the subset).
+    :mod:`repro.core.affectance_sparse`; both sum the member rows in
+    member order, so the floats are identical whenever the sparse
+    pattern holds every pair of the subset.
     """
-    idx = np.asarray(subset, dtype=int)
-    if not isinstance(a, np.ndarray):
-        return a.in_affectances_within(idx)
-    sub = a[np.ix_(idx, idx)]
-    return sub.sum(axis=0)
+    return as_view(a).in_affectances_within(subset)
 
 
 def feasible_within(

@@ -21,10 +21,12 @@ Storage is CSR + CSC over link indices (row = acting link ``w``, column =
 affected link ``v`` — the dense convention), with raw and clipped value
 arrays sharing one pattern.  :class:`_SparseView` exposes one value layer
 through the access idioms the scheduling kernels use on dense matrices
-(row/column gathers, member blocks, row-set sums); wherever the kernels
-compare decisions against the dense path, the view materializes the dense
-sub-block and reduces it with the same numpy summation, so a complete
-pattern reproduces the dense floats bit for bit.
+(row/column gathers, member blocks, member-set sums) — the protocol
+:func:`repro.core.affectance.as_view` gives dense matrices too.  A member
+sum scatters the stored entries with ``np.bincount`` in member order,
+which is the order numpy's axis-0 reduction adds the dense member rows
+in; with unstored entries adding an exact ``+0.0``, a complete pattern
+reproduces the dense floats bit for bit.
 
 Link quasi-distances get the same treatment in
 :class:`SparseLinkDistances`, with a stronger guarantee: the admission
@@ -48,20 +50,7 @@ __all__ = [
     "SparseLinkDistances",
     "build_sparse_affectance",
     "build_sparse_link_distances",
-    "gather_row",
-    "gather_col",
-    "dense_row",
-    "rows_sum",
-    "member_block",
-    "add_row_to",
 ]
-
-#: Largest dense scratch block (in float64 entries) the sparse kernels
-#: will materialize to reproduce dense numpy reductions bit-for-bit.
-#: Beyond it they fall back to sequential scatter accumulation (same
-#: values, possibly different rounding order) — only reachable far outside
-#: the dense cross-check regime.
-_DENSE_BLOCK_LIMIT = 1 << 22
 
 #: Hard cap on the link count for which a complete (all-pairs) pattern may
 #: be assembled when the certified radius reaches the instance diameter.
@@ -74,10 +63,15 @@ class _SparseView:
     Subclasses provide ``n`` (padded size), ``row(v)`` and ``col(v)``
     returning ``(indices, values)`` with indices strictly increasing; the
     generic kernels below express every dense access idiom the schedulers
-    use in terms of those two.
+    use in terms of those two.  Every member sum reads the concatenated
+    member rows or columns of :meth:`gather` and scatters them with one
+    ``np.bincount``, whose C loop accumulates in input (member) order —
+    the order of numpy's axis-0 reduction of the dense member rows.
     """
 
     __slots__ = ()
+
+    dense = False
 
     # -- to be provided by concrete views --------------------------------
     @property
@@ -94,6 +88,15 @@ class _SparseView:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
+
+    def gather(
+        self, members: np.ndarray, cols: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of the member rows (columns with ``cols``),
+        concatenated in member order: ``(indices, values, lengths)``
+        with one length per member."""
+        read = self.col if cols else self.row
+        return _concat([read(v) for v in members.tolist()])
 
     def gather_row(self, v: int, cols: np.ndarray) -> np.ndarray:
         """``a[v, cols]`` — zeros at unstored positions."""
@@ -164,134 +167,61 @@ class _SparseView:
     def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
         """``a[members].sum(axis=0)`` over the full width.
 
-        Within the dense-block budget the member rows are materialized and
-        reduced by the same ``sum(axis=0)`` as the dense path (bit-equal on
-        complete patterns); beyond it, sequential scatter adds — realized
-        as one ``np.bincount`` over the concatenated member rows, whose C
-        loop accumulates entries in input (member) order.  Each output
-        element receives its contributions in exactly the per-member
-        scatter order, so the floats match the historical row-at-a-time
-        loop bit for bit.
+        Each output element receives its stored entries in member order,
+        and an unstored entry adds an exact ``+0.0``: bit for bit the
+        dense reduction, which adds the member rows one after another.
         """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            dense = np.zeros((members.size, n))
-            for i, r in enumerate(members):
-                idx, val = self.row(int(r))
-                dense[i, idx] = val
-            return dense.sum(axis=0)
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        for r in members.tolist():
-            idx, val = self.row(r)
-            if idx.size:
-                parts_i.append(idx)
-                parts_v.append(val)
-        if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
+        idx, val, _ = self.gather(np.asarray(members, dtype=int))
+        return _scatter(idx, val, self.n)
 
     def cols_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
         """``a[:, members].sum(axis=1)`` over the full height.
 
         Column fancy-indexing yields an F-contiguous copy, whose axis-1
-        reduction numpy performs column-by-column — the scratch mirrors
-        that layout so the floats match the dense expression exactly.
+        reduction numpy performs column by column — member order, as
+        the scatter here.
         """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            dense = np.zeros((n, members.size), order="F")
-            for j, c in enumerate(members):
-                idx, val = self.col(int(c))
-                dense[idx, j] = val
-            return dense.sum(axis=1)
-        # Beyond the block budget: same bincount realization of the
-        # sequential scatter as :meth:`rows_sum` (member-order adds per
-        # output element; bit-equal to the column-at-a-time loop).
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        for c in members.tolist():
-            idx, val = self.col(c)
-            if idx.size:
-                parts_i.append(idx)
-                parts_v.append(val)
-        if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
-
-    def sum_axis0(self) -> np.ndarray:
-        """``a.sum(axis=0)`` (every link's in-affectance over all rows)."""
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            return self.rows_sum(np.arange(n))
-        out = np.zeros(n)
-        for r in range(n):
-            self.add_row_to(out, r)
-        return out
-
-    def sum_axis1(self) -> np.ndarray:
-        """``a.sum(axis=1)`` (every link's out-affectance).
-
-        The dense expression reduces the C-contiguous matrix itself, not a
-        column copy — so the scratch here is C-ordered rows.
-        """
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            dense = np.zeros((n, n))
-            for r in range(n):
-                idx, val = self.row(r)
-                dense[r, idx] = val
-            return dense.sum(axis=1)
-        out = np.empty(n)
-        for r in range(n):
-            _, val = self.row(r)
-            out[r] = val.sum()
-        return out
+        idx, val, _ = self.gather(np.asarray(members, dtype=int), cols=True)
+        return _scatter(idx, val, self.n)
 
     def in_affectances_within(
         self, subset: Sequence[int] | np.ndarray
     ) -> np.ndarray:
-        """``a_S(v)`` for each ``v`` of ``subset`` (dense-identical block)."""
+        """``a_S(v)`` for each ``v`` of ``subset``: the dense member block's
+        ``sum(axis=0)``, repeated members counted once per copy."""
         idx = np.asarray(subset, dtype=int)
         if idx.size == 0:
             return np.zeros(0)
-        if idx.size * idx.size <= _DENSE_BLOCK_LIMIT:
-            return self.block(idx, idx).sum(axis=0)
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        out = np.zeros(idx.size)
-        # Gather every member row once, then resolve membership with a
-        # single searchsorted/bincount pass: per-row numpy round-trips
-        # dominate wall time for slot-sized subsets (tens of thousands of
-        # members), the batched pass is a handful of O(nnz_S) kernels.
-        parts_idx: list[np.ndarray] = []
-        parts_val: list[np.ndarray] = []
-        for r in idx:
-            ridx, rval = self.row(int(r))
-            if ridx.size:
-                parts_idx.append(ridx)
-                parts_val.append(rval)
-        if not parts_idx:
-            return out
-        cols = np.concatenate(parts_idx)
-        vals = np.concatenate(parts_val)
-        pos = np.searchsorted(sorted_idx, cols)
-        pos_c = np.minimum(pos, sorted_idx.size - 1)
-        hit = sorted_idx[pos_c] == cols
-        out[order] = np.bincount(
-            pos_c[hit], weights=vals[hit], minlength=sorted_idx.size
-        )
-        return out
+        # Scatter onto the distinct members, in member order, and read
+        # each copy of a member back through the inverse.
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        cols, vals, _ = self.gather(idx)
+        pos = np.minimum(np.searchsorted(uniq, cols), uniq.size - 1)
+        hit = uniq[pos] == cols
+        return _scatter(pos[hit], vals[hit], uniq.size)[inverse]
+
+
+def _scatter(idx: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
+    """``out[idx[j]] += val[j]`` over ``out = zeros(n)``, ``j`` ascending.
+
+    ``np.bincount``'s C loop adds the weights in input order; it returns
+    integer zeros when there are none, hence the guard.
+    """
+    if idx.size == 0:
+        return np.zeros(n)
+    return np.bincount(idx, weights=val, minlength=n)
+
+
+def _concat(
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate ``(indices, values)`` pairs (:meth:`_SparseView.gather`)."""
+    if not parts:
+        none = np.empty(0, dtype=np.int64)
+        return none, np.empty(0), none
+    idx, val = zip(*parts)
+    lens = np.fromiter(map(len, idx), dtype=np.int64, count=len(idx))
+    return np.concatenate(idx), np.concatenate(val), lens
 
 
 class _CSRView(_SparseView):
@@ -319,20 +249,17 @@ class _CSRView(_SparseView):
         return sp.col_idx[lo:hi], self._cv[lo:hi]
 
     def sum_axis0(self) -> np.ndarray:
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            return super().sum_axis0()
-        return np.bincount(
-            self._sp.row_idx, weights=self._rv, minlength=n
-        )
+        """``a.sum(axis=0)``: :meth:`rows_sum` over every row, read
+        straight from the CSR arrays (row-major, so member order)."""
+        return _scatter(self._sp.row_idx, self._rv, self._sp.m)
 
     def sum_axis1(self) -> np.ndarray:
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            return super().sum_axis1()
-        return np.bincount(
-            self._sp.col_idx, weights=self._cv, minlength=n
-        )
+        """``a.sum(axis=1)`` up to rounding: the CSC scatter adds each
+        row's entries in column order, where the dense reduction of a
+        contiguous row sums pairwise.  Its one reader, the repeated
+        capacity ledger, only skips checks its guard proves redundant
+        (``_LEDGER_GUARD_PER_LINK``), so the last bits change no slot."""
+        return _scatter(self._sp.col_idx, self._cv, self._sp.m)
 
 
 class SparseAffectance:
@@ -731,57 +658,3 @@ def build_sparse_link_distances(
     cols = np.concatenate([w, u])
     values = np.concatenate([dist_uw, dist_wu])
     return SparseLinkDistances(m, rows, cols, values, qlen, r_d)
-
-
-# ----------------------------------------------------------------------
-# Backend-agnostic access helpers
-# ----------------------------------------------------------------------
-# The repair and simulation layers read affectance through these instead
-# of raw numpy indexing, so one code path serves both a dense ``(m, m)``
-# matrix and a sparse view.  Each dense branch is the literal indexing
-# expression the caller previously inlined — float-for-float unchanged.
-
-def gather_row(a, v: int, cols) -> np.ndarray:
-    """``a[v, cols]`` on either backend (zeros at unstored positions)."""
-    if isinstance(a, np.ndarray):
-        return a[int(v), np.asarray(cols, dtype=int)]
-    return a.gather_row(int(v), cols)
-
-
-def gather_col(a, rows, v: int) -> np.ndarray:
-    """``a[rows, v]`` on either backend."""
-    if isinstance(a, np.ndarray):
-        return a[np.asarray(rows, dtype=int), int(v)]
-    return a.gather_col(rows, int(v))
-
-
-def dense_row(a, v: int) -> np.ndarray:
-    """``a[v]`` as a fresh writable dense vector of the padded width."""
-    if isinstance(a, np.ndarray):
-        return a[int(v)].copy()
-    return a.dense_row(int(v))
-
-
-def rows_sum(a, members) -> np.ndarray:
-    """``a[members].sum(axis=0)`` over the full padded width."""
-    if isinstance(a, np.ndarray):
-        idx = np.asarray(members, dtype=int)
-        if idx.size == 0:
-            return np.zeros(a.shape[1])
-        return a[idx].sum(axis=0)
-    return a.rows_sum(members)
-
-
-def member_block(a, rows, cols) -> np.ndarray:
-    """The dense sub-matrix ``a[rows x cols]`` on either backend."""
-    if isinstance(a, np.ndarray):
-        return a[np.ix_(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))]
-    return a.block(rows, cols)
-
-
-def add_row_to(out: np.ndarray, a, v: int) -> None:
-    """``out += a[v]`` in place on either backend."""
-    if isinstance(a, np.ndarray):
-        out += a[int(v)]
-    else:
-        a.add_row_to(out, int(v))

@@ -41,8 +41,7 @@ from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.core.affectance import feasible_within
-from repro.core.affectance_sparse import add_row_to, member_block
+from repro.core.affectance import as_view, feasible_within
 from repro.core.links import LinkSet
 from repro.core.power import uniform_power
 from repro.dynamics import ChurnDriver
@@ -82,6 +81,7 @@ def lqf_policy(
     # historical full argsort to the backlogged links yields the same
     # visiting order (stable sorts commute with subsetting).
     cand = backlogged[np.argsort(-queues[backlogged], kind="stable")]
+    a = as_view(a)
     chosen = np.empty(cand.size, dtype=int)
     count = 0
     in_aff = np.zeros(queues.shape[0])
@@ -92,7 +92,7 @@ def lqf_policy(
             members = chosen[:count]
             # Member-side worst case: max over chosen of a_X(w) + a_v(w).
             worst = (
-                member_block(a, cand, members) + in_aff[members][None, :]
+                a.block(cand, members) + in_aff[members][None, :]
             ).max(axis=1)
             ok = (in_aff[cand] <= 1.0) & (worst <= 1.0)
             hits = np.flatnonzero(ok)
@@ -102,7 +102,7 @@ def lqf_policy(
         v = int(cand[hit])
         chosen[count] = v
         count += 1
-        add_row_to(in_aff, a, v)
+        a.add_row_to(in_aff, v)
         cand = cand[hit + 1 :]
     return np.sort(chosen[:count])
 

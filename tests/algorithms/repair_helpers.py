@@ -23,7 +23,6 @@ from repro.algorithms.repair import (
     OnlineRepairScheduler,
 )
 from repro.core.affectance import in_affectances_within
-from repro.core.affectance_sparse import gather_col, gather_row
 from repro.core.links import LinkSet
 
 
@@ -107,7 +106,7 @@ class _EveryMemberTerms:
 
     def _slot_terms(self, a, v, t):
         mem = self._member_array(t)
-        return mem, gather_col(a, mem, v), mem, gather_row(a, v, mem)
+        return mem, a.gather_col(mem, v), mem, a.gather_row(v, mem)
 
 
 class ReferenceRepair(_EveryMemberTerms, OnlineRepairScheduler):

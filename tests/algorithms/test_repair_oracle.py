@@ -8,31 +8,26 @@ events, so a departed link's context slot is reused by an arrival of
 the same batch):
 
 * **exact ledgers** — after every event each slot's ledger equals a
-  from-scratch row sum at every member position, also when departures
-  are repaired in place (the dense-block limit patched to 0);
+  from-scratch row sum at every member position, departures being
+  repaired in place;
 * **every-member reference** — the repairers make the same placements,
   evictions and slots, event by event, as the reference repairers of
-  ``repair_helpers`` that gather over every member, in both ledger
-  regimes, with eviction cascades and a ``max_slots`` bound that keeps
-  the eviction scan busy.
+  ``repair_helpers`` that gather over every member, with eviction
+  cascades and a ``max_slots`` bound that keeps the eviction scan busy.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.algorithms.repair as repair_mod
 from repro.algorithms.context import DynamicContext, SchedulingContext
 from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.core.affectance_sparse import rows_sum
 from repro.core.decay import DecaySpace
 from repro.core.links import LinkSet
 from repro.dynamics import ChurnDriver, ChurnEvent, chunk_events
@@ -67,7 +62,7 @@ def _assert_ledgers_exact(rep, dyn):
             continue
         ledger = next(fresh)
         mem = members[offsets[t] : offsets[t + 1]]
-        exact = rows_sum(dyn.raw_affectance, mem)
+        exact = dyn.raw_affectance.rows_sum(mem)
         np.testing.assert_allclose(
             ledger[mem], exact[mem], rtol=1e-12, atol=1e-12
         )
@@ -89,14 +84,13 @@ def test_batched_departures_keep_ledgers_exact():
         radius=6.0,
     )
     driver = ChurnDriver(dyn, scn)
-    with mock.patch.object(repair_mod, "_DENSE_BLOCK_LIMIT", 0):
-        rep = OnlineRepairScheduler(dyn)
-        reused = 0
-        for ev in _batched(scn, driver, 2):
-            gone, fresh = driver.feed(ev)
-            reused += len(set(gone) & set(fresh))
-            rep.apply(fresh, gone)
-            _assert_ledgers_exact(rep, dyn)
+    rep = OnlineRepairScheduler(dyn)
+    reused = 0
+    for ev in _batched(scn, driver, 2):
+        gone, fresh = driver.feed(ev)
+        reused += len(set(gone) & set(fresh))
+        rep.apply(fresh, gone)
+        _assert_ledgers_exact(rep, dyn)
     assert reused > 0  # vacuous otherwise
     assert rep.check()
 
@@ -148,14 +142,13 @@ def test_eviction_reaches_members_outside_row_support(case):
 
 
 @pytest.mark.parametrize("kind", sorted(PAIRS))
-@pytest.mark.parametrize("in_place", [False, True], ids=["stale", "in_place"])
 @given(
     seed=st.integers(0, 2**16),
     batch=st.integers(2, 4),
     cascade=st.integers(1, 2),
 )
 @settings(max_examples=CHURN_EXAMPLES, deadline=None)
-def test_matches_every_member_reference(kind, in_place, seed, batch, cascade):
+def test_matches_every_member_reference(kind, seed, batch, cascade):
     scn = build_dynamic_scenario(
         "poisson_churn",
         n_links=48,
@@ -166,33 +159,31 @@ def test_matches_every_member_reference(kind, in_place, seed, batch, cascade):
     )
     fast_cls, ref_cls = PAIRS[kind]
     runs = []
-    limit = 0 if in_place else repair_mod._DENSE_BLOCK_LIMIT
-    with mock.patch.object(repair_mod, "_DENSE_BLOCK_LIMIT", limit):
-        for cls in (fast_cls, ref_cls):
-            ctx = SchedulingContext(
-                scn.initial_links(), backend="sparse", eps=0.5
-            )
-            assert not ctx.sparse_affectance.complete
-            dyn = ctx.dynamic()
-            driver = ChurnDriver(dyn, scn)
-            # Two slots cannot hold the clustered links, so arrivals keep
-            # falling through to the eviction scan and the deferred queue.
-            rep = cls(dyn, cascade=cascade, max_slots=2)
-            # Random eviction costs: the cheapest candidate is then any
-            # member that passes the mask, not just the shortest link.
-            rep.set_priorities(np.random.default_rng(seed).random(4096))
-            trace = []
-            for ev in _batched(scn, driver, batch):
-                gone, fresh = driver.feed(ev)
-                rep.apply(fresh, gone)
-                state = rep.export_state()
-                trace.append((
-                    state["repair_members"].tolist(),
-                    state["repair_offsets"].tolist(),
-                    state["repair_stats"].tolist(),
-                    state["repair_deferred"].tolist(),
-                ))
-            assert rep.check()
-            runs.append(trace)
+    for cls in (fast_cls, ref_cls):
+        ctx = SchedulingContext(
+            scn.initial_links(), backend="sparse", eps=0.5
+        )
+        assert not ctx.sparse_affectance.complete
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        # Two slots cannot hold the clustered links, so arrivals keep
+        # falling through to the eviction scan and the deferred queue.
+        rep = cls(dyn, cascade=cascade, max_slots=2)
+        # Random eviction costs: the cheapest candidate is then any
+        # member that passes the mask, not just the shortest link.
+        rep.set_priorities(np.random.default_rng(seed).random(4096))
+        trace = []
+        for ev in _batched(scn, driver, batch):
+            gone, fresh = driver.feed(ev)
+            rep.apply(fresh, gone)
+            state = rep.export_state()
+            trace.append((
+                state["repair_members"].tolist(),
+                state["repair_offsets"].tolist(),
+                state["repair_stats"].tolist(),
+                state["repair_deferred"].tolist(),
+            ))
+        assert rep.check()
+        runs.append(trace)
     fast, ref = runs
     assert fast == ref
