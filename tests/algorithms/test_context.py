@@ -126,6 +126,42 @@ class TestCapacityEquivalence:
         assert selected == result.selected
         assert candidate == result.candidate
 
+    @staticmethod
+    def _subset_context(links, active):
+        """A context over ``active`` reached by departures: every other
+        link leaves a dynamic context over all links, which then freezes
+        (it lists the remaining links in slot order, the order of
+        ``links.subset(active)``)."""
+        from repro.algorithms.context import DynamicContext
+
+        pairs = list(zip(links.senders.tolist(), links.receivers.tolist()))
+        dyn = DynamicContext(links.space, pairs)
+        dyn.remove_links(sorted(set(range(links.m)) - set(active)))
+        assert dyn.active_slots.tolist() == active
+        return dyn.freeze()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subset_matches_rebuilt_linkset(self, seed):
+        links = make_planar_links(16, alpha=3.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        active = sorted(rng.choice(16, size=9, replace=False).tolist())
+        ctx = self._subset_context(links, active)
+        selected, candidate = ctx.capacity_bounded_growth()
+        sub_result = capacity_bounded_growth(links.subset(active))
+        assert selected == sub_result.selected
+        assert candidate == sub_result.candidate
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_general_greedy_subset_matches(self, seed):
+        links = make_planar_links(14, alpha=3.0, seed=seed)
+        rng = np.random.default_rng(seed + 7)
+        active = sorted(rng.choice(14, size=8, replace=False).tolist())
+        ctx = self._subset_context(links, active)
+        selected, candidate = ctx.capacity_general()
+        sub_result = capacity_general_metric(links.subset(active))
+        assert selected == sub_result.selected
+        assert candidate == sub_result.candidate
+
     def test_unknown_admission_kernel_rejected(self):
         links = make_planar_links(4, alpha=3.0, seed=0)
         with pytest.raises(LinkError, match="admission"):
